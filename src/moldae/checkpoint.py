@@ -62,7 +62,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     (blob_len,) = take("<I")
-    config = ModelConfig(**json.loads(data[off : off + blob_len].decode("utf-8")))
+    try:
+        config = ModelConfig(**json.loads(data[off : off + blob_len].decode("utf-8")))
+    except (ValueError, TypeError) as exc:
+        raise CheckpointError(f"{path}: unreadable config block ({exc})") from exc
     off += blob_len
     (count,) = take("<I")
     tensors: dict[str, np.ndarray] = {}

@@ -1,8 +1,21 @@
 """Command-line pipelines: convert, train, generate, eval-gen, embed, eval-prop.
 
 Configuration is a flat key=value file overridden by repeated --set flags;
-every command echoes its fully resolved configuration for provenance. Exit
-codes: 0 ok, 1 domain failure, 2 I/O error, 3 configuration error.
+every command echoes its fully resolved configuration for provenance.
+
+Exit codes come from one ordered table in main(); the first row whose
+exception classes match wins, and main prints `error: <message>` to stderr:
+
+  3  configuration: ConfigError (bad or unknown config key, unreadable
+     eval-prop manifest or dataset), ModelConfigError
+  2  I/O and artifacts: OSError (missing or unwritable file or directory),
+     CheckpointError (corrupt or truncated checkpoint), VocabularyError
+     (malformed vocabulary, one that does not match the checkpoint, empty
+     training corpus)
+  1  domain: TrainingDivergedError, RecursionError, ValueError (every other
+     moldae error: bad molecule, grammar or metric input)
+  0  ok; convert and embed also return 1 when a line was rejected, unless
+     --lenient is given
 
 Heavy imports happen inside main() so --threads can pin BLAS pools before
 numpy loads (required for bit-reproducible runs).
@@ -39,11 +52,7 @@ def _parse_kv(text: str, source: str) -> tuple[str, str]:
 def load_config(path: str | None, overrides: list[str]) -> dict[str, str]:
     config: dict[str, str] = {}
     if path:
-        try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise FileNotFoundError(f"cannot read config file: {exc}") from exc
-        for lineno, line in enumerate(lines, 1):
+        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -141,11 +150,7 @@ def cmd_convert(args) -> int:
 
     out_path = Path(args.output)
     rejects: list[str] = []
-    try:
-        lines = Path(args.input).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    lines = Path(args.input).read_text(encoding="utf-8").splitlines()
     out_lines: list[str] = []
     for lineno, line in enumerate(lines, 1):
         text = line.strip()
@@ -160,21 +165,18 @@ def cmd_convert(args) -> int:
                 if not len(graph):
                     raise GraphError("decodes to the empty molecule")
                 out_lines.append(write_smiles(graph))
-        except (SmilesParseError, GraphError, selfies.SelfiesError, selfies.EncodeError) as exc:
+        except (SmilesParseError, GraphError, selfies.SelfiesError, selfies.EncodeError,
+                RecursionError) as exc:
             rejects.append(f"{lineno}\t{exc}")
             out_lines.append("")
-    try:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text("\n".join(out_lines) + ("\n" if out_lines else ""), encoding="utf-8")
-        Path(str(out_path) + ".rejects").write_text(
-            "\n".join(rejects) + ("\n" if rejects else ""), encoding="utf-8")
-        echo_config(
-            {"command": "convert", "input": args.input, "output": args.output,
-             "direction": args.direction, "lenient": str(args.lenient).lower()},
-            Path(str(out_path) + ".config.txt"))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.write_text("\n".join(out_lines) + ("\n" if out_lines else ""), encoding="utf-8")
+    Path(str(out_path) + ".rejects").write_text(
+        "\n".join(rejects) + ("\n" if rejects else ""), encoding="utf-8")
+    echo_config(
+        {"command": "convert", "input": args.input, "output": args.output,
+         "direction": args.direction, "lenient": str(args.lenient).lower()},
+        Path(str(out_path) + ".config.txt"))
     print(f"converted {len(lines) - len(rejects)}/{len(lines)} lines, {len(rejects)} rejected")
     return EXIT_OK if (not rejects or args.lenient) else EXIT_DOMAIN
 
@@ -183,17 +185,13 @@ def cmd_make_corpus(args) -> int:
     from .corpus import sample_corpus
 
     molecules = sample_corpus(args.n, args.seed, args.min_atoms, args.max_tokens)
-    try:
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(molecules) + "\n", encoding="utf-8")
-        echo_config(
-            {"command": "make-corpus", "n": str(args.n), "seed": str(args.seed),
-             "min_atoms": str(args.min_atoms), "max_tokens": str(args.max_tokens)},
-            Path(str(path) + ".config.txt"))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    path = Path(args.output)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(molecules) + "\n", encoding="utf-8")
+    echo_config(
+        {"command": "make-corpus", "n": str(args.n), "seed": str(args.seed),
+         "min_atoms": str(args.min_atoms), "max_tokens": str(args.max_tokens)},
+        Path(str(path) + ".config.txt"))
     print(f"wrote {len(molecules)} molecules to {args.output}")
     return EXIT_OK
 
@@ -214,45 +212,34 @@ def _resolved_model_config(config: dict[str, str], vocab_size: int):
 
 
 def cmd_train(args) -> int:
-    from .model import ModelConfigError
-    from .selfies import SelfiesError, split_selfies
+    from .selfies import split_selfies
     from .tokenizer import build_vocab, save_vocab
-    from .training import TrainSettings, TrainingDivergedError, train
+    from .training import TrainSettings, train
 
     config = load_config(args.config, args.set)
     if args.f64:
         config["dtype"] = "float64"
     unknown = set(config) - set(_MODEL_KEYS) - set(_TRAIN_KEYS)
     if unknown:
-        print(f"error: unknown config keys {sorted(unknown)}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"unknown config keys {sorted(unknown)}")
 
     out_dir = Path(args.out_dir)
-    try:
-        lines = [ln.strip() for ln in Path(args.corpus).read_text(encoding="utf-8").splitlines()]
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        token_stream = [split_selfies(ln) for ln in lines if ln]
-        vocab = build_vocab(token_stream)
-        model_config = _resolved_model_config(config, len(vocab))
-        settings = TrainSettings(
-            steps=_coerce(config, "steps", 1000, int),
-            batch_size=_coerce(config, "batch_size", 32, int),
-            peak_lr=_coerce(config, "peak_lr", 3e-4, float),
-            warmup_frac=_coerce(config, "warmup_frac", 0.05, float),
-            beta1=_coerce(config, "beta1", 0.9, float),
-            beta2=_coerce(config, "beta2", 0.999, float),
-            eps=_coerce(config, "eps", 1e-8, float),
-            mask_rate=_coerce(config, "mask_rate", 0.15, float),
-            checkpoint_interval=_coerce(config, "checkpoint_interval", 0, int),
-            seed=_coerce(config, "seed", 0, int),
-            dtype=_coerce(config, "dtype", "float32", str),
-        )
-    except (ModelConfigError, ConfigError, SelfiesError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    lines = [ln.strip() for ln in Path(args.corpus).read_text(encoding="utf-8").splitlines()]
+    vocab = build_vocab([split_selfies(ln) for ln in lines if ln])
+    model_config = _resolved_model_config(config, len(vocab))
+    settings = TrainSettings(
+        steps=_coerce(config, "steps", 1000, int),
+        batch_size=_coerce(config, "batch_size", 32, int),
+        peak_lr=_coerce(config, "peak_lr", 3e-4, float),
+        warmup_frac=_coerce(config, "warmup_frac", 0.05, float),
+        beta1=_coerce(config, "beta1", 0.9, float),
+        beta2=_coerce(config, "beta2", 0.999, float),
+        eps=_coerce(config, "eps", 1e-8, float),
+        mask_rate=_coerce(config, "mask_rate", 0.15, float),
+        checkpoint_interval=_coerce(config, "checkpoint_interval", 0, int),
+        seed=_coerce(config, "seed", 0, int),
+        dtype=_coerce(config, "dtype", "float32", str),
+    )
 
     out_dir.mkdir(parents=True, exist_ok=True)
     save_vocab(vocab, out_dir / "vocab.txt")
@@ -262,15 +249,8 @@ def cmd_train(args) -> int:
         "vocab_size": len(vocab), "corpus": args.corpus,
     }.items()}
     echo_config(resolved, out_dir / "config_resolved.txt")
-    try:
-        _, log = train(args.corpus, vocab, model_config, settings,
-                       out_dir=out_dir, resume_from=args.resume)
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _, log = train(args.corpus, vocab, model_config, settings,
+                   out_dir=out_dir, resume_from=args.resume)
     last = log.steps[-1] if log.steps else None
     if last is not None:
         print(f"trained {len(log.steps)} steps; final loss {last.loss:.4f}, "
@@ -278,24 +258,31 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _load_model(args):
+    """Config, parameters and vocabulary of --checkpoint/--vocab, checked against each other."""
+    from .tokenizer import VocabularyError, load_vocab
+    from .training import load_params
+
+    config, params = load_params(args.checkpoint)
+    vocab = load_vocab(args.vocab)
+    if len(vocab) != config.vocab_size:
+        raise VocabularyError(f"{args.vocab}: {len(vocab)} tokens, but {args.checkpoint} "
+                              f"was trained with {config.vocab_size}")
+    return config, params, vocab
+
+
 def cmd_generate(args) -> int:
     from .genmetrics import generate_set
-    from .tokenizer import load_vocab
-    from .training import load_meta, load_params
+    from .training import load_meta
 
-    try:
-        config, params = load_params(args.checkpoint)
-        meta = load_meta(args.checkpoint)
-        vocab = load_vocab(args.vocab)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    config, params, vocab = _load_model(args)
+    meta = load_meta(args.checkpoint)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     generated = generate_set(params, config, vocab, args.n, args.seed,
                              temperature=args.temperature, max_len=args.max_len,
                              checkpoint_id=Path(args.checkpoint).name,
                              length_hist=meta.get("meta.length_hist"))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "generated.selfies").write_text("\n".join(generated.raw) + "\n", encoding="utf-8")
     (out_dir / "generated.smiles").write_text(
         "\n".join(c or "" for c in generated.canonical) + "\n", encoding="utf-8")
@@ -308,18 +295,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_eval_gen(args) -> int:
-    from .genmetrics import GeneratedSet, MetricsError, build_report
-    from .graph import GraphError
+    from .genmetrics import GeneratedSet, build_report, load_training_canon
     from . import selfies
     from .canon import canonicalize
-    from .smiles import SmilesParseError, parse_smiles
 
-    try:
-        gen_lines = Path(args.generated).read_text(encoding="utf-8").splitlines()
-        train_lines = Path(args.training_canon).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    gen_lines = Path(args.generated).read_text(encoding="utf-8").splitlines()
+    training_canon = load_training_canon(args.training_canon)
     raw: list[str] = []
     canon: list[str | None] = []
     for line in gen_lines:
@@ -333,22 +314,8 @@ def cmd_eval_gen(args) -> int:
             canon.append(canonicalize(graph) if len(graph) else None)
         except selfies.SelfiesError:
             canon.append(None)
-    training_canon: set[str] = set()
-    for line in train_lines:
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            training_canon.add(canonicalize(parse_smiles(text)))
-        except (SmilesParseError, GraphError) as exc:
-            print(f"error: training-canon line {text!r}: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN
-    try:
-        report = build_report(GeneratedSet(tuple(raw), tuple(canon)), training_canon,
-                              k=args.k, radius=args.radius, width=args.width)
-    except MetricsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    report = build_report(GeneratedSet(tuple(raw), tuple(canon)), training_canon,
+                          k=args.k, radius=args.radius, width=args.width)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "generation_report.json").write_text(report.to_json(), encoding="utf-8")
@@ -365,20 +332,13 @@ def cmd_embed(args) -> int:
     from .model import embed
     from . import selfies
     from .smiles import SmilesParseError, parse_smiles
-    from .tokenizer import encode_ids, load_vocab
-    from .training import load_params
+    from .tokenizer import encode_ids
 
-    try:
-        config, params = load_params(args.checkpoint)
-        vocab = load_vocab(args.vocab)
-        in_fh = open(args.input, encoding="utf-8")
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    config, params, vocab = _load_model(args)
     rejects: list[str] = []
     out_path = Path(args.output)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with in_fh, open(out_path, "w", encoding="utf-8") as out_fh:
+    with open(args.input, encoding="utf-8") as in_fh, open(out_path, "w", encoding="utf-8") as out_fh:
         for lineno, line in enumerate(in_fh, 1):
             text = line.strip()
             if not text:
@@ -388,7 +348,8 @@ def cmd_embed(args) -> int:
                 ids = encode_ids(selfies.encode(parse_smiles(text)), vocab)
                 vector = embed(params, config, ids)
                 out_fh.write(",".join(f"{x:.8g}" for x in vector) + "\n")
-            except (SmilesParseError, GraphError, selfies.EncodeError, ValueError) as exc:
+            except (SmilesParseError, GraphError, selfies.EncodeError, ValueError,
+                    RecursionError) as exc:
                 rejects.append(f"{lineno}\t{exc}")
                 out_fh.write("\n")
     Path(str(out_path) + ".rejects").write_text(
@@ -402,26 +363,16 @@ def cmd_embed(args) -> int:
 
 def cmd_eval_prop(args) -> int:
     from .propeval import DatasetError, TaskManifest, evaluate_dataset, load_dataset
-    from .tokenizer import load_vocab
-    from .training import load_params
 
+    config, params, vocab = _load_model(args)
     try:
-        config, params = load_params(args.checkpoint)
-        vocab = load_vocab(args.vocab)
-        manifest = TaskManifest.load(args.manifest)
-        dataset = load_dataset(args.dataset, manifest)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (DatasetError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        result = evaluate_dataset(dataset, params, config, vocab, seed=args.seed,
-                                  checkpoint_id=Path(args.checkpoint).name)
+        dataset = load_dataset(args.dataset, TaskManifest.load(args.manifest))
     except DatasetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        # A bad manifest or dataset is a configuration error; the same class
+        # raised later by evaluate_dataset (nothing left to probe) is a domain one.
+        raise ConfigError(str(exc)) from exc
+    result = evaluate_dataset(dataset, params, config, vocab, seed=args.seed,
+                              checkpoint_id=Path(args.checkpoint).name)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "property_result.json").write_text(result.to_json(), encoding="utf-8")
@@ -448,14 +399,26 @@ def main(argv=None) -> int:
         "embed": cmd_embed,
         "eval-prop": cmd_eval_prop,
     }
+    from .checkpoint import CheckpointError
+    from .model import ModelConfigError
+    from .tokenizer import VocabularyError
+    from .training import TrainingDivergedError
+
+    # Ordered: the first row with a matching class wins. ValueError is the base
+    # of every other moldae error class, so it comes last.
+    exit_codes = (
+        ((ConfigError, ModelConfigError), EXIT_CONFIG),
+        ((OSError, CheckpointError, VocabularyError), EXIT_IO),
+        ((TrainingDivergedError, RecursionError, ValueError), EXIT_DOMAIN),
+    )
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except Exception as exc:
+        for classes, code in exit_codes:
+            if isinstance(exc, classes):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -182,6 +183,23 @@ def internal_diversity(generated: GeneratedSet, p: int = 1, radius: int = 2, wid
         raise MetricsError("no valid molecules")
     mean_pow = _pairwise_tanimoto_mean(distinct, p, radius, width)
     return 1.0 - mean_pow ** (1.0 / p)
+
+
+def load_training_canon(path: str | Path) -> set[str]:
+    """Canonical forms of a SMILES file (one per line, blank lines skipped)."""
+    from .graph import GraphError
+    from .smiles import SmilesParseError, parse_smiles
+
+    canon: set[str] = set()
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            canon.add(canonicalize(parse_smiles(text)))
+        except (SmilesParseError, GraphError) as exc:
+            raise MetricsError(f"{path}:{lineno}: training molecule {text!r}: {exc}") from exc
+    return canon
 
 
 def build_report(generated: GeneratedSet, training_canon: set[str], k: int | None = None,

@@ -219,39 +219,6 @@ def decoder_forward(params, config: ModelConfig, ids: np.ndarray, enc_states: Te
     return _linear(x, ad.transpose(params["tok_emb"], (1, 0)))
 
 
-def encode_seq(params, config: ModelConfig, ids: np.ndarray, pad_mask: np.ndarray | None = None) -> np.ndarray:
-    """Encoder states for one sequence: (L, d_model), no tape."""
-    ids = _check_ids(ids, config)
-    if pad_mask is None:
-        pad_mask = (ids != PAD).astype(np.float64)
-    else:
-        pad_mask = np.asarray(pad_mask, dtype=np.float64)
-        if pad_mask.ndim == 1:
-            pad_mask = pad_mask[None, :]
-    with ad.no_grad():
-        states = encoder_forward(params, config, ids, pad_mask)
-    return states.data[0]
-
-
-def decode_step(params, config: ModelConfig, enc_states: np.ndarray, enc_pad_mask: np.ndarray,
-                prefix: np.ndarray) -> np.ndarray:
-    """Next-token logits (vocab,) after the given <bos>-rooted prefix."""
-    prefix = np.asarray(prefix, dtype=np.int64)
-    if prefix.ndim != 1 or len(prefix) == 0:
-        raise ValueError("prefix must be a non-empty 1-D id sequence")
-    if prefix[0] != BOS:
-        raise ValueError("prefix must begin with <bos>")
-    enc = np.asarray(enc_states)
-    if enc.ndim == 2:
-        enc = enc[None]
-    mask = np.asarray(enc_pad_mask, dtype=np.float64)
-    if mask.ndim == 1:
-        mask = mask[None]
-    with ad.no_grad():
-        logits = decoder_forward(params, config, _check_ids(prefix, config), Tensor(enc), mask)
-    return logits.data[0, -1]
-
-
 def batch_denoise_loss(params, config: ModelConfig, x_corrupt: np.ndarray, y: np.ndarray,
                        pad_mask: np.ndarray, drop_rng: np.random.Generator | None = None
                        ) -> tuple[Tensor, float]:
@@ -291,12 +258,13 @@ def denoise_loss(params, config: ModelConfig, pair) -> tuple[float, dict[str, np
 
 def embed(params, config: ModelConfig, ids: np.ndarray) -> np.ndarray:
     """Mean of encoder states over content (non-special) positions."""
-    ids = _check_ids(ids, config)[0]
-    content = ~np.isin(ids, (PAD, BOS, EOS, MASK, UNK))
+    ids = _check_ids(ids, config)
+    content = ~np.isin(ids[0], (PAD, BOS, EOS, MASK, UNK))
     if not content.any():
         raise ValueError("sequence has no content tokens to embed")
-    states = encode_seq(params, config, ids)
-    return states[content].mean(axis=0)
+    with ad.no_grad():
+        states = encoder_forward(params, config, ids, (ids != PAD).astype(np.float64))
+    return states.data[0][content].mean(axis=0)
 
 
 def _source_ids(source_length: int | None, config: ModelConfig) -> np.ndarray:
@@ -313,31 +281,6 @@ def _source_ids(source_length: int | None, config: ModelConfig) -> np.ndarray:
     return np.array([BOS] + [MASK] * source_length + [EOS], dtype=np.int64)
 
 
-def sample(params, config: ModelConfig, rng: np.random.Generator, max_len: int | None = None,
-           temperature: float = 1.0, source_length: int | None = None) -> np.ndarray:
-    """Unconditional autoregressive sample, seeded by <bos>.
-
-    The encoder sees a fully-masked sequence of `source_length` tokens (or the
-    empty pair when None); generation stops at <eos> or max_len total ids.
-    temperature scales logits before sampling.
-    """
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
-    max_len = config.max_len if max_len is None else min(max_len, config.max_len)
-    enc_ids = _source_ids(source_length, config)[None, :]
-    enc_mask = np.ones_like(enc_ids, dtype=np.float64)
-    with ad.no_grad():
-        enc_states = encoder_forward(params, config, enc_ids, enc_mask)
-    prefix = [BOS]
-    while len(prefix) < max_len:
-        logits = decode_step(params, config, enc_states.data, enc_mask, np.asarray(prefix))
-        nxt = _sample_from_logits(logits, temperature, rng)
-        prefix.append(nxt)
-        if nxt == EOS:
-            break
-    return np.asarray(prefix, dtype=np.int64)
-
-
 def _sample_from_logits(logits: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
     z = logits.astype(np.float64) / temperature
     z -= z.max()
@@ -349,11 +292,13 @@ def _sample_from_logits(logits: np.ndarray, temperature: float, rng: np.random.G
 def sample_batch(params, config: ModelConfig, rngs: list[np.random.Generator],
                  max_len: int | None = None, temperature: float = 1.0,
                  source_lengths: list[int | None] | None = None) -> list[np.ndarray]:
-    """Batched equivalent of per-sequence `sample`; one rng per sequence.
+    """Unconditional autoregressive samples, seeded by <bos>; one rng per sequence.
 
-    Draws one uniform per sequence per step from that sequence's own rng, so
-    the result is identical to calling `sample` once per rng (with the
-    matching source_length).
+    Sequence i's encoder sees a fully-masked source of `source_lengths[i]`
+    tokens (or the empty pair when None); generation stops at <eos> or max_len
+    total ids, and temperature scales logits before sampling. Each step draws
+    one uniform per sequence from that sequence's own rng, so a sequence comes
+    out the same in any batch, alone included.
     """
     if temperature <= 0:
         raise ValueError("temperature must be > 0")

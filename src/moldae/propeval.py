@@ -94,7 +94,11 @@ def load_dataset(path: str | Path, manifest: TaskManifest) -> PropertyDataset:
             values = []
             for col in manifest.label_columns:
                 cell = (record[col] or "").strip()
-                values.append(float(cell) if cell else math.nan)
+                try:
+                    values.append(float(cell) if cell else math.nan)
+                except ValueError:
+                    raise DatasetError(f"{path}:{reader.line_num}: label {col} {cell!r} "
+                                       "is not a number") from None
             if all(math.isnan(v) for v in values):
                 dropped += 1
                 continue

@@ -1,6 +1,9 @@
 """End-to-end CLI pipelines: smoke runs, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -213,3 +216,150 @@ def test_full_pipeline_byte_identical(tmp_path):
         })
     for key in outputs[0]:
         assert outputs[0][key] == outputs[1][key], key
+
+
+CHAIN = "C" * 3000  # deep enough to exhaust the interpreter's recursion limit
+
+
+def _truncated(run, tmp, size):
+    path = tmp / f"truncated{size}.bin"
+    path.write_bytes((run / "checkpoint_final.bin").read_bytes()[:size])
+    return str(path)
+
+
+def _short_vocab(run, tmp):
+    path = tmp / "vocab30.txt"
+    path.write_text("\n".join((run / "vocab.txt").read_text().splitlines()[:30]) + "\n")
+    return str(path)
+
+
+def _write(tmp, name, text):
+    (tmp / name).write_text(text)
+    return str(tmp / name)
+
+
+def _generate(ckpt, vocab, out_dir):
+    return ["generate", "--checkpoint", ckpt, "--vocab", vocab, "--out-dir", out_dir, "--n", "4"]
+
+
+def _embed(ckpt, vocab, root, output):
+    return ["embed", "--checkpoint", ckpt, "--vocab", vocab,
+            "--input", str(root / "corpus.smiles"), "--output", output]
+
+
+def _eval_prop(ckpt, vocab, root, tmp, rows=None):
+    if rows is None:
+        rows = [f"{s},{len(s)}" for s in (root / "corpus.smiles").read_text().splitlines()[:40]]
+    dataset = _write(tmp, "data.csv", "smiles,y\n" + "\n".join(rows) + "\n")
+    manifest = _write(tmp, "task.manifest", "task=regression\nsmiles=smiles\nlabels=y\n")
+    return ["eval-prop", "--checkpoint", ckpt, "--vocab", vocab, "--dataset", dataset,
+            "--manifest", manifest, "--out-dir", str(tmp / "prop")]
+
+
+def _below_file(tmp, name):
+    (tmp / "plain").write_text("")
+    return str(tmp / "plain" / name)
+
+
+# (argv builder over (run dir, workspace root, tmp dir), exit code, text stderr must hold)
+FAILURES = {
+    "generate-truncated-checkpoint": (lambda run, root, tmp: _generate(
+        _truncated(run, tmp, 1000), str(run / "vocab.txt"), str(tmp / "gen")), 2, "truncated checkpoint"),
+    "generate-truncated-config-block": (lambda run, root, tmp: _generate(
+        _truncated(run, tmp, 40), str(run / "vocab.txt"), str(tmp / "gen")), 2, "truncated40.bin"),
+    "embed-truncated-checkpoint": (lambda run, root, tmp: _embed(
+        _truncated(run, tmp, 1000), str(run / "vocab.txt"), root, str(tmp / "e.csv")), 2,
+        "truncated checkpoint"),
+    "eval-prop-truncated-checkpoint": (lambda run, root, tmp: _eval_prop(
+        _truncated(run, tmp, 1000), str(run / "vocab.txt"), root, tmp), 2, "truncated checkpoint"),
+    "eval-prop-non-numeric-label": (lambda run, root, tmp: _eval_prop(
+        str(run / "checkpoint_final.bin"), str(run / "vocab.txt"), root, tmp,
+        rows=["CCO,1.5", "CC,heavy"]), 3, "data.csv:3:"),
+    "eval-prop-nothing-to-probe": (lambda run, root, tmp: _eval_prop(
+        str(run / "checkpoint_final.bin"), str(run / "vocab.txt"), root, tmp,
+        rows=[f"{'C' * 40},1.0"]), 1, "no record could be featurized"),
+    "generate-out-dir-below-file": (lambda run, root, tmp: _generate(
+        str(run / "checkpoint_final.bin"), str(run / "vocab.txt"), _below_file(tmp, "gen")), 2,
+        "plain"),
+    "embed-output-below-file": (lambda run, root, tmp: _embed(
+        str(run / "checkpoint_final.bin"), str(run / "vocab.txt"), root,
+        _below_file(tmp, "sub/e.csv")), 2, "plain"),
+    "generate-short-vocab": (lambda run, root, tmp: _generate(
+        str(run / "checkpoint_final.bin"), _short_vocab(run, tmp), str(tmp / "gen")), 2, "vocab30.txt"),
+    "embed-short-vocab": (lambda run, root, tmp: _embed(
+        str(run / "checkpoint_final.bin"), _short_vocab(run, tmp), root, str(tmp / "e.csv")), 2,
+        "vocab30.txt"),
+    "eval-prop-short-vocab": (lambda run, root, tmp: _eval_prop(
+        str(run / "checkpoint_final.bin"), _short_vocab(run, tmp), root, tmp), 2, "vocab30.txt"),
+    "train-only-line-over-length": (lambda run, root, tmp: [
+        "train", "--corpus", _write(tmp, "long.selfies", "[C]" * 40 + "\n"),
+        "--out-dir", str(tmp / "t"), "--set", "max_len=16"], 1, "long.selfies"),
+    "train-empty-corpus": (lambda run, root, tmp: [
+        "train", "--corpus", _write(tmp, "empty.selfies", ""), "--out-dir", str(tmp / "t")], 2,
+        "empty corpus"),
+    "train-unreadable-config": (lambda run, root, tmp: [
+        "train", "--corpus", str(root / "corpus.selfies"), "--out-dir", str(tmp / "t"),
+        "--config", str(tmp / "missing.config")], 2, "missing.config"),
+    "convert-3000-atom-chain": (lambda run, root, tmp: [
+        "convert", "--input", _write(tmp, "chain.smiles", CHAIN + "\n"),
+        "--output", str(tmp / "chain.selfies")], 1, ""),
+    "eval-gen-bad-training-molecule": (lambda run, root, tmp: [
+        "eval-gen", "--generated", _write(tmp, "gen.selfies", "[C][C][O]\n"),
+        "--training-canon", _write(tmp, "train.smiles", "CCO\nC1CC\n"),
+        "--out-dir", str(tmp / "ev")], 1, "train.smiles:2:"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_failures_exit_with_documented_code(case, trained, tmp_path, capsys):
+    root, run, _ = trained
+    build, code, message = FAILURES[case]
+    rc = main(build(run, root, tmp_path))
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert "Traceback" not in err
+    assert message in err
+
+
+def test_vocab_checkpoint_mismatch_writes_nothing(trained, tmp_path, capsys):
+    root, run, _ = trained
+    assert len((run / "vocab.txt").read_text().splitlines()) > 30
+    vocab = _short_vocab(run, tmp_path)
+    assert main(_generate(str(run / "checkpoint_final.bin"), vocab, str(tmp_path / "gen"))) == 2
+    assert main(_embed(str(run / "checkpoint_final.bin"), vocab, root, str(tmp_path / "e.csv"))) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") and "vocab30.txt" in line for line in err)
+    assert not list(tmp_path.glob("gen/generated.*"))
+    assert not list(tmp_path.glob("e.csv*"))
+
+
+def test_recursion_limit_line_is_a_reject(trained, tmp_path):
+    root, run, _ = trained
+    src = _write(tmp_path, "in.smiles", f"CCO\n{CHAIN}\n")
+    out = tmp_path / "out.selfies"
+    assert main(["convert", "--input", src, "--output", str(out)]) == 1
+    assert (tmp_path / "out.selfies.rejects").read_text().startswith("2\t")
+    assert out.read_text().split("\n")[:2] == ["[C][C][O]", ""]
+    assert main(["convert", "--input", src, "--output", str(out), "--lenient"]) == 0
+    emb = tmp_path / "emb.csv"
+    argv = ["embed", "--checkpoint", str(run / "checkpoint_final.bin"), "--vocab",
+            str(run / "vocab.txt"), "--input", src, "--output", str(emb)]
+    assert main(argv) == 1
+    assert (tmp_path / "emb.csv.rejects").read_text().startswith("2\t")
+    assert emb.read_text().split("\n")[1] == ""
+    assert main(argv + ["--lenient"]) == 0
+
+
+def test_process_exit_code_without_traceback(trained, tmp_path):
+    """The real process boundary: `python -m moldae` exits 2 with a one-line error."""
+    import moldae
+
+    _, run, _ = trained
+    env = dict(os.environ, PYTHONPATH=str(Path(moldae.__file__).parents[1]))
+    argv = _generate(str(run / "checkpoint_final.bin"), str(run / "vocab.txt"),
+                     _below_file(tmp_path, "gen"))
+    proc = subprocess.run([sys.executable, "-m", "moldae", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

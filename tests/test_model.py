@@ -8,9 +8,8 @@ import pytest
 from moldae import autodiff as ad
 from moldae.autodiff import Tensor
 from moldae.model import (
-    ModelConfig, ModelConfigError, batch_denoise_loss, decode_step, denoise_loss,
-    embed, encode_seq, encoder_forward, decoder_forward, init_model, parameter_count,
-    sample, sample_batch,
+    ModelConfig, ModelConfigError, batch_denoise_loss, denoise_loss, embed, encoder_forward,
+    decoder_forward, init_model, parameter_count, sample_batch,
 )
 from moldae.tokenizer import BOS, EOS, MASK, CorruptedPair
 
@@ -20,6 +19,28 @@ TOY = ModelConfig(vocab_size=11, d_model=8, n_heads=2, encoder_layers=1,
 
 def toy_params(seed=0, dtype=np.float64):
     return init_model(TOY, np.random.default_rng(seed), dtype=dtype)
+
+
+def encode(params, config, ids):
+    """Encoder states (L, d_model) of one unpadded sequence, no tape."""
+    with ad.no_grad():
+        return encoder_forward(params, config, np.asarray(ids)[None], np.ones((1, len(ids)))).data[0]
+
+
+def greedy(params, enc, mask, max_len=TOY.max_len):
+    """Argmax decoding from <bos> until <eos> or max_len ids, one full decoder pass per step."""
+    prefix = [BOS]
+    with ad.no_grad():
+        while len(prefix) < max_len:
+            logits = decoder_forward(params, TOY, np.array([prefix]), Tensor(enc[None]), mask[None]).data
+            prefix.append(int(logits[0, -1].argmax()))
+            if prefix[-1] == EOS:
+                break
+    return prefix
+
+
+def sample_one(params, rng, source_length=None, **kwargs):
+    return sample_batch(params, TOY, [rng], source_lengths=[source_length], **kwargs)[0]
 
 
 def test_init_deterministic():
@@ -60,7 +81,7 @@ def test_encoder_output_shape_and_finite():
     params = toy_params()
     for length in (1, 5, 12):
         ids = np.arange(length) % TOY.vocab_size
-        states = encode_seq(params, TOY, ids)
+        states = encode(params, TOY, ids)
         assert states.shape == (length, TOY.d_model)
         assert np.isfinite(states).all()
 
@@ -68,9 +89,9 @@ def test_encoder_output_shape_and_finite():
 def test_encoder_rejects_bad_input():
     params = toy_params()
     with pytest.raises(ValueError):
-        encode_seq(params, TOY, np.arange(13))
+        embed(params, TOY, np.arange(13))
     with pytest.raises(ValueError):
-        encode_seq(params, TOY, np.array([0, 99]))
+        embed(params, TOY, np.array([0, 99]))
 
 
 def test_pad_positions_do_not_leak():
@@ -131,23 +152,10 @@ def test_single_token_forward_matches_hand_computation():
     h = ln2d(*x)
     expected = (2.0 * h[0] + 0.5, 1.0 * h[1] - 0.5)
 
-    states = encode_seq(params, config, np.array([5]))
+    states = encode(params, config, np.array([5]))
     assert states.shape == (1, 2)
     assert abs(states[0, 0] - expected[0]) < 1e-12
     assert abs(states[0, 1] - expected[1]) < 1e-12
-
-
-def test_decode_step_contract():
-    params = toy_params()
-    ids = np.array([BOS, 5, 6, EOS])
-    enc = encode_seq(params, TOY, ids)
-    mask = np.ones(len(ids))
-    logits = decode_step(params, TOY, enc, mask, np.array([BOS, 7]))
-    assert logits.shape == (TOY.vocab_size,)
-    with pytest.raises(ValueError):
-        decode_step(params, TOY, enc, mask, np.array([], dtype=int))
-    with pytest.raises(ValueError):
-        decode_step(params, TOY, enc, mask, np.array([5, 6]))
 
 
 def test_decoder_causality():
@@ -166,12 +174,9 @@ def test_decoder_causality():
 def test_greedy_chain_matches_teacher_forced_argmax():
     params = toy_params(7)
     ids = np.array([BOS, 5, 6, 7, EOS])
-    enc = encode_seq(params, TOY, ids)
+    enc = encode(params, TOY, ids)
     mask = np.ones(len(ids))
-    prefix = [BOS]
-    for _ in range(6):
-        logits = decode_step(params, TOY, enc, mask, np.array(prefix))
-        prefix.append(int(logits.argmax()))
+    prefix = greedy(params, enc, mask, max_len=7)
     with ad.no_grad():
         all_logits = decoder_forward(params, TOY, np.array([prefix[:-1]]), Tensor(enc[None]),
                                      mask[None]).data[0]
@@ -238,11 +243,11 @@ def test_embed_is_mean_of_content_states():
     params = toy_params()
     ids = np.array([BOS, 5, 6, 7, EOS])
     vec = embed(params, TOY, ids)
-    states = encode_seq(params, TOY, ids)
+    states = encode(params, TOY, ids)
     assert np.allclose(vec, states[1:4].mean(axis=0), atol=1e-12)
     assert vec.shape == (TOY.d_model,)
     single = embed(params, TOY, np.array([BOS, 5, EOS]))
-    assert np.allclose(single, encode_seq(params, TOY, np.array([BOS, 5, EOS]))[1], atol=1e-12)
+    assert np.allclose(single, encode(params, TOY, np.array([BOS, 5, EOS]))[1], atol=1e-12)
     with pytest.raises(ValueError):
         embed(params, TOY, np.array([BOS, EOS]))
     assert np.allclose(embed(params, TOY, ids), vec)
@@ -250,30 +255,22 @@ def test_embed_is_mean_of_content_states():
 
 def test_sample_deterministic_and_temperature_limit():
     params = toy_params(9)
-    a = sample(params, TOY, np.random.default_rng(11), temperature=1.0)
-    b = sample(params, TOY, np.random.default_rng(11), temperature=1.0)
+    a = sample_one(params, np.random.default_rng(11), temperature=1.0)
+    b = sample_one(params, np.random.default_rng(11), temperature=1.0)
     assert np.array_equal(a, b)
     assert a[0] == BOS
     with pytest.raises(ValueError):
-        sample(params, TOY, np.random.default_rng(0), temperature=0.0)
+        sample_one(params, np.random.default_rng(0), temperature=0.0)
     # temperature -> 0 approaches greedy argmax decoding
-    cold = sample(params, TOY, np.random.default_rng(3), temperature=1e-9)
+    cold = sample_one(params, np.random.default_rng(3), temperature=1e-9)
     ids = np.array([BOS, EOS])
-    enc = encode_seq(params, TOY, ids)
-    mask = np.ones(2)
-    prefix = [BOS]
-    while len(prefix) < TOY.max_len:
-        nxt = int(decode_step(params, TOY, enc, mask, np.array(prefix)).argmax())
-        prefix.append(nxt)
-        if nxt == EOS:
-            break
-    assert np.array_equal(cold, np.array(prefix))
+    assert np.array_equal(cold, np.array(greedy(params, encode(params, TOY, ids), np.ones(2))))
 
 
 def test_sample_respects_max_len():
     params = toy_params(21)
     for _ in range(5):
-        ids = sample(params, TOY, np.random.default_rng(_), max_len=6)
+        ids = sample_one(params, np.random.default_rng(_), max_len=6)
         assert len(ids) <= 6
         assert ids[0] == BOS
         if len(ids) < 6:
@@ -283,7 +280,7 @@ def test_sample_respects_max_len():
 def test_sample_batch_equals_sequential():
     params = toy_params(13)
     seeds = np.random.SeedSequence(77).spawn(6)
-    sequential = [sample(params, TOY, np.random.default_rng(s), temperature=1.0) for s in seeds]
+    sequential = [sample_one(params, np.random.default_rng(s), temperature=1.0) for s in seeds]
     batched = sample_batch(params, TOY, [np.random.default_rng(s) for s in seeds], temperature=1.0)
     assert len(batched) == 6
     for a, b in zip(sequential, batched):
@@ -295,7 +292,7 @@ def test_sample_batch_equals_sequential_with_sources():
     seeds = np.random.SeedSequence(78).spawn(5)
     lengths = [1, 4, 2, 7, 3]
     sequential = [
-        sample(params, TOY, np.random.default_rng(s), temperature=0.8, source_length=k)
+        sample_one(params, np.random.default_rng(s), temperature=0.8, source_length=k)
         for s, k in zip(seeds, lengths)
     ]
     batched = sample_batch(params, TOY, [np.random.default_rng(s) for s in seeds],
@@ -303,4 +300,4 @@ def test_sample_batch_equals_sequential_with_sources():
     for a, b in zip(sequential, batched):
         assert np.array_equal(a, b)
     with pytest.raises(ValueError):
-        sample(params, TOY, np.random.default_rng(0), source_length=TOY.max_len)
+        sample_one(params, np.random.default_rng(0), source_length=TOY.max_len)

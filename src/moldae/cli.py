@@ -7,11 +7,12 @@ Exit codes come from one ordered table in main(); the first row whose
 exception classes match wins, and main prints `error: <message>` to stderr:
 
   3  configuration: ConfigError (bad or unknown config key, unreadable
-     eval-prop manifest or dataset), ModelConfigError
+     eval-prop manifest or dataset), ModelConfigError; also a usage error
+     (missing or invalid flag), for which argparse prints the usage line
   2  I/O and artifacts: OSError (missing or unwritable file or directory),
-     CheckpointError (corrupt or truncated checkpoint), VocabularyError
-     (malformed vocabulary, one that does not match the checkpoint, empty
-     training corpus)
+     CheckpointError (corrupt or truncated checkpoint, --resume from one
+     without optimizer state), VocabularyError (malformed vocabulary, one
+     that does not match the checkpoint, empty training corpus)
   1  domain: TrainingDivergedError, RecursionError, ValueError (every other
      moldae error: bad molecule, grammar or metric input)
   0  ok; convert and embed also return 1 when a line was rejected, unless
@@ -213,7 +214,7 @@ def _resolved_model_config(config: dict[str, str], vocab_size: int):
 
 def cmd_train(args) -> int:
     from .selfies import split_selfies
-    from .tokenizer import build_vocab, save_vocab
+    from .tokenizer import VocabularyError, build_vocab, save_vocab
     from .training import TrainSettings, train
 
     config = load_config(args.config, args.set)
@@ -225,6 +226,8 @@ def cmd_train(args) -> int:
 
     out_dir = Path(args.out_dir)
     lines = [ln.strip() for ln in Path(args.corpus).read_text(encoding="utf-8").splitlines()]
+    if not any(lines):
+        raise VocabularyError(f"{args.corpus}: empty corpus")
     vocab = build_vocab([split_selfies(ln) for ln in lines if ln])
     model_config = _resolved_model_config(config, len(vocab))
     settings = TrainSettings(
@@ -384,8 +387,10 @@ def cmd_eval_prop(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help text or the usage error
+        return EXIT_OK if not exc.code else EXIT_CONFIG
     threads = str(max(1, args.threads))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):

@@ -3,8 +3,9 @@
 Datasets are CSV files with a SMILES column and one or more label columns
 named by a small key=value manifest (task type, smiles column, label
 columns). Frozen model embeddings feed a standardized linear probe (logistic
-for classification, ridge for regression) trained by full-batch gradient
-descent; the regularization strength is picked on the validation fold.
+for classification, ridge for regression) fitted exactly by Newton's method:
+one step, the closed form, for ridge, and IRLS for logistic regression. The
+regularization strength is picked on the validation fold.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .tokenizer import Vocabulary, encode_ids
 from .graph import GraphError
 
 LAMBDA_GRID = (1e-3, 1e-2, 0.1, 1.0, 10.0)
+NEWTON_STEPS = 50  # cap; ridge needs 1, logistic regression about 10
 
 
 class DatasetError(ValueError):
@@ -180,6 +182,8 @@ class Probe:
     std: np.ndarray  # train-fold feature stds
     task: str
     lam: float
+    steps: int  # Newton steps taken
+    grad_norm: float  # final gradient norm over all outputs
 
     def scores(self, features: np.ndarray) -> np.ndarray:
         z = (features - self.mean) / self.std
@@ -189,26 +193,14 @@ class Probe:
         return raw
 
 
-def _lipschitz(x: np.ndarray, lam: float, task: str) -> float:
-    # Largest eigenvalue of X^T X / n via power iteration, plus the ridge term.
-    v = np.full(x.shape[1], 1.0 / math.sqrt(x.shape[1]))
-    for _ in range(50):
-        v = x.T @ (x @ v) / len(x)
-        norm = float(np.linalg.norm(v))
-        if norm == 0:
-            return lam + 1e-12
-        v /= norm
-    top = float(v @ (x.T @ (x @ v))) / len(x)
-    scale = 0.25 if task == "classification" else 1.0
-    return scale * top + lam
-
-
 def train_probe(features: np.ndarray, labels: np.ndarray, task: str, lam: float,
-                max_iters: int = 20000, tol: float = 1e-6) -> Probe:
-    """Fit the probe by full-batch gradient descent to grad-norm < tol.
+                tol: float = 1e-6) -> Probe:
+    """Fit the probe by Newton's method to grad-norm < tol, else raise DatasetError.
 
-    labels: (n,) or (n, k); NaN entries and their gradient are excluded
-    per-output. Classification needs both classes in every used output.
+    Per output: mean loss over the rows whose label is present (half squared
+    error for ridge, negative log-likelihood for logistic) plus lam/2 |w|^2,
+    bias unpenalized. Ridge takes one step (the closed form), logistic is IRLS.
+    labels: (n,) or (n, k), NaN = missing. Classification needs both classes.
     """
     if features.ndim != 2 or len(features) != len(labels):
         raise DatasetError("features and labels must align")
@@ -216,38 +208,36 @@ def train_probe(features: np.ndarray, labels: np.ndarray, task: str, lam: float,
     mean = features.mean(axis=0)
     std = features.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
-    x = (features - mean) / std
     present = ~np.isnan(labels)
     if task == "classification":
         for j in range(labels.shape[1]):
             col = labels[present[:, j], j]
             if len(np.unique(col)) < 2:
                 raise DatasetError(f"output {j}: training fold has a single class")
-    y = np.where(present, labels, 0.0)
-    n_out = labels.shape[1]
-    w = np.zeros((x.shape[1], n_out))
-    b = np.zeros(n_out)
-    counts = present.sum(axis=0).astype(np.float64)
-    # Per-block steps (diagonal preconditioning): the ridge term only stiffens
-    # the weight block, the bias is unregularized.
-    lr_w = 1.0 / _lipschitz(x, lam, task)
-    lr_b = 1.0 / (0.25 if task == "classification" else 1.0)
-
-    for _ in range(max_iters):
-        raw = x @ w + b
+    # Standardized features with a column of ones for the bias.
+    a = np.hstack([(features - mean) / std, np.ones((len(features), 1))])
+    counts = present.sum(axis=0)
+    penalty = np.append(np.full(features.shape[1], lam), 0.0)
+    theta = np.zeros((a.shape[1], labels.shape[1]))
+    for steps in range(NEWTON_STEPS + 1):
+        pred = a @ theta
         if task == "classification":
-            pred = 1.0 / (1.0 + np.exp(-raw))
-        else:
-            pred = raw
-        err = np.where(present, pred - y, 0.0)
-        gw = x.T @ err / counts + lam * w
-        gb = err.sum(axis=0) / counts
-        gnorm = math.sqrt(float((gw**2).sum() + (gb**2).sum()))
-        if gnorm < tol:
+            pred = 1.0 / (1.0 + np.exp(-pred))
+        grad = a.T @ np.where(present, pred - labels, 0.0) / counts + penalty[:, None] * theta
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm < tol:
+            return Probe(theta[:-1], theta[-1], mean, std, task, lam, steps, grad_norm)
+        if steps == NEWTON_STEPS:
             break
-        w -= lr_w * gw
-        b -= lr_b * gb
-    return Probe(w, b, mean, std, task, lam)
+        # Curvature weight: 1 for ridge, p(1-p) for logistic; 0 where the label is missing.
+        curv = present * (pred * (1.0 - pred) if task == "classification" else 1.0)
+        for j in range(theta.shape[1]):
+            hess = (a.T * curv[:, j]) @ a / counts[j] + np.diag(penalty)
+            theta[:, j] -= np.linalg.solve(hess, grad[:, j])
+    norms = np.linalg.norm(grad, axis=0)
+    worst = int(np.argmax(norms))
+    raise DatasetError(f"output {worst}: probe did not converge in {NEWTON_STEPS} Newton steps "
+                       f"at lambda={lam:g} (gradient norm {norms[worst]:.3g}, tol {tol:g})")
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -315,6 +305,8 @@ class PropertyResult:
     split_seed: int
     checkpoint_id: str
     dropped_rows: int
+    probe_steps: int  # Newton steps of the selected lambda's fit
+    probe_grad_norm: float  # and its final gradient norm
 
     def to_json(self) -> str:
         return json.dumps(
@@ -327,6 +319,8 @@ class PropertyResult:
                 "split_seed": self.split_seed,
                 "checkpoint_id": self.checkpoint_id,
                 "dropped_rows": self.dropped_rows,
+                "probe_steps": self.probe_steps,
+                "probe_grad_norm": self.probe_grad_norm,
             },
             sort_keys=True,
             indent=2,
@@ -369,4 +363,6 @@ def evaluate_dataset(dataset: PropertyDataset, params, config: ModelConfig, voca
         split_seed=seed,
         checkpoint_id=checkpoint_id,
         dropped_rows=dropped + dataset.dropped_invalid,
+        probe_steps=probe.steps,
+        probe_grad_norm=probe.grad_norm,
     )

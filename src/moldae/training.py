@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .model import ModelConfig, batch_denoise_loss, init_model
 from .selfies import split_selfies
 from .tokenizer import PAD, Vocabulary, corrupt, encode_ids
@@ -156,11 +156,12 @@ def train(
         config_loaded, tensors = load_checkpoint(resume_from)
         if config_loaded != config:
             raise ValueError("checkpoint config differs from requested config")
-        params = {
-            k: Tensor(v.astype(dtype), requires_grad=True)
-            for k, v in tensors.items()
-            if not k.startswith(("adam.m.", "adam.v.", "meta."))
-        }
+        params = _model_params(tensors, dtype)
+        state = [f"adam.{mv}.{name}" for name in params for mv in "mv"] + ["meta.step"]
+        missing = next((k for k in state if k not in tensors), None)
+        if missing is not None:
+            raise CheckpointError(f"{resume_from}: missing tensor {missing} "
+                                  "(no optimizer state to resume from)")
         optimizer = Adam(params, settings)
         for name in params:
             optimizer.m[name] = tensors[f"adam.m.{name}"].astype(dtype)
@@ -261,12 +262,16 @@ def train(
 def load_params(path: str | Path, dtype=np.float32) -> tuple[ModelConfig, dict[str, Tensor]]:
     """Model parameters (without optimizer state) from a checkpoint file."""
     config, tensors = load_checkpoint(path)
-    params = {
+    return config, _model_params(tensors, dtype)
+
+
+def _model_params(tensors: dict[str, np.ndarray], dtype) -> dict[str, Tensor]:
+    """The model tensors of a checkpoint, without optimizer state or meta.*."""
+    return {
         k: Tensor(v.astype(dtype), requires_grad=True)
         for k, v in tensors.items()
         if not k.startswith(("adam.m.", "adam.v.", "meta."))
     }
-    return config, params
 
 
 def load_meta(path: str | Path) -> dict[str, np.ndarray]:

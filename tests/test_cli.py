@@ -179,6 +179,8 @@ def test_eval_prop_pipeline(trained, tmp_path):
     result = json.loads((prop_dir / "property_result.json").read_text())
     assert result["metric_name"] == "rmse"
     assert result["split_seed"] == 1
+    assert result["probe_steps"] == 1  # ridge: the closed form in one Newton step
+    assert 0.0 <= result["probe_grad_norm"] < 1e-6
 
 
 def test_full_pipeline_byte_identical(tmp_path):
@@ -230,6 +232,15 @@ def _truncated(run, tmp, size):
 def _short_vocab(run, tmp):
     path = tmp / "vocab30.txt"
     path.write_text("\n".join((run / "vocab.txt").read_text().splitlines()[:30]) + "\n")
+    return str(path)
+
+
+def _without_adam(run, tmp):
+    from moldae.checkpoint import load_checkpoint, save_checkpoint
+
+    config, tensors = load_checkpoint(run / "checkpoint_final.bin")
+    path = tmp / "no_adam.bin"
+    save_checkpoint(path, config, {k: v for k, v in tensors.items() if not k.startswith("adam.")})
     return str(path)
 
 
@@ -296,7 +307,16 @@ FAILURES = {
         "--out-dir", str(tmp / "t"), "--set", "max_len=16"], 1, "long.selfies"),
     "train-empty-corpus": (lambda run, root, tmp: [
         "train", "--corpus", _write(tmp, "empty.selfies", ""), "--out-dir", str(tmp / "t")], 2,
-        "empty corpus"),
+        "empty.selfies: empty corpus"),
+    "train-resume-without-adam-state": (lambda run, root, tmp: [
+        "train", "--corpus", str(root / "corpus.selfies"), "--out-dir", str(tmp / "t"),
+        "--config", str(root / "train.config"), "--resume", _without_adam(run, tmp)], 2,
+        "no_adam.bin: missing tensor adam.m."),
+    "generate-missing-required-flags": (lambda run, root, tmp: [
+        "generate", "--vocab", "x"], 3, "the following arguments are required: --checkpoint"),
+    "convert-bad-direction": (lambda run, root, tmp: [
+        "convert", "--input", "a", "--output", "b", "--direction", "sideways"], 3,
+        "invalid choice: 'sideways'"),
     "train-unreadable-config": (lambda run, root, tmp: [
         "train", "--corpus", str(root / "corpus.selfies"), "--out-dir", str(tmp / "t"),
         "--config", str(tmp / "missing.config")], 2, "missing.config"),
@@ -319,6 +339,12 @@ def test_failures_exit_with_documented_code(case, trained, tmp_path, capsys):
     assert rc == code, err
     assert "Traceback" not in err
     assert message in err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert main(["generate", "--help"]) == 0
+    assert "usage: moldae" in capsys.readouterr().out
 
 
 def test_vocab_checkpoint_mismatch_writes_nothing(trained, tmp_path, capsys):

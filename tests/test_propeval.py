@@ -119,11 +119,83 @@ def test_train_probe_ridge_recovers_weights():
     x = rng.normal(size=(200, 4))
     w_true = np.array([1.5, -2.0, 0.5, 3.0])
     y = x @ w_true
-    probe = train_probe(x, y, "regression", lam=1e-9, max_iters=200000, tol=1e-10)
+    probe = train_probe(x, y, "regression", lam=1e-9, tol=1e-10)
     # undo standardization: effective slope in original units
     slope = probe.weights[:, 0] / probe.std
     assert np.allclose(slope, w_true, atol=1e-6)
     assert rmse(probe.scores(x)[:, 0], y) < 1e-6
+
+
+def _objective_gradient(probe, x, y):
+    """Gradient of the probe objective over the present labels, recomputed from the fit."""
+    z = (x - probe.mean) / probe.std
+    y = y.reshape(len(y), -1)
+    present = ~np.isnan(y)
+    err = np.where(present, probe.scores(x) - np.where(present, y, 0.0), 0.0)
+    counts = present.sum(axis=0)
+    return np.vstack([z.T @ err / counts + probe.lam * probe.weights, err.sum(axis=0) / counts])
+
+
+def test_train_probe_ridge_matches_normal_equations_when_n_below_d():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(60, 80))
+    y = x @ rng.normal(size=80) + rng.normal(size=60)
+    lam = 1e-3
+    probe = train_probe(x, y, "regression", lam=lam)
+    # Independent solve of the normal equations with an unpenalized bias.
+    a = np.hstack([(x - x.mean(axis=0)) / x.std(axis=0), np.ones((60, 1))])
+    hess = a.T @ a / 60 + np.diag([lam] * 80 + [0.0])
+    exact = np.linalg.solve(hess, a.T @ y / 60)
+    assert np.allclose(probe.weights[:, 0], exact[:80], rtol=0, atol=1e-8)
+    assert abs(probe.bias[0] - exact[80]) < 1e-8
+    assert probe.steps == 1
+    assert np.linalg.norm(_objective_gradient(probe, x, y)) < 1e-6
+    assert probe.grad_norm < 1e-6
+
+
+def test_train_probe_logistic_converges_on_separable_data():
+    # Four latent factors plus noise: strongly correlated columns, as in embeddings.
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(60, 4)) @ rng.normal(size=(4, 80)) + 0.1 * rng.normal(size=(60, 80))
+    y = (x @ rng.normal(size=80) > 0).astype(float)
+    probe = train_probe(x, y, "classification", lam=1e-3)
+    assert ((probe.scores(x)[:, 0] > 0.5) == y).all()
+    assert np.linalg.norm(_objective_gradient(probe, x, y)) < 1e-6
+    assert 1 < probe.steps <= 20 and probe.grad_norm < 1e-6
+
+
+def test_train_probe_unreachable_tolerance_raises():
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(30, 3))
+    with pytest.raises(DatasetError, match="lambda=0.1"):
+        train_probe(x, x @ np.ones(3), "regression", lam=0.1, tol=0.0)
+    with pytest.raises(DatasetError, match="output 0"):
+        train_probe(x, (x[:, 0] > 0).astype(float), "classification", lam=0.1, tol=0.0)
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_train_probe_missing_labels_fit_each_output_on_its_rows(task):
+    """Each output of a NaN-masked fit equals a one-output fit on that output's rows.
+
+    The rows are two copies of one base set, and each output is present on
+    exactly one copy of every base row, so both fits see the same
+    standardization.
+    """
+    rng = np.random.default_rng(8)
+    base = rng.normal(size=(40, 5))
+    targets = base @ rng.normal(size=(5, 2)) + rng.normal(size=(40, 2))
+    if task == "classification":
+        targets = (targets > 0).astype(float)
+    first = np.arange(40) < 25  # output 1 is present in the first copy only for these rows
+    labels = np.full((80, 2), np.nan)
+    labels[:40, 0] = targets[:, 0]
+    labels[:40, 1] = np.where(first, targets[:, 1], np.nan)
+    labels[40:, 1] = np.where(first, np.nan, targets[:, 1])
+    joint = train_probe(np.vstack([base, base]), labels, task, lam=1e-2, tol=1e-10)
+    for j in range(2):
+        single = train_probe(base, targets[:, j], task, lam=1e-2, tol=1e-10)
+        assert np.allclose(joint.weights[:, j], single.weights[:, 0], rtol=0, atol=1e-8)
+        assert abs(joint.bias[j] - single.bias[0]) < 1e-8
 
 
 def test_train_probe_large_lambda_shrinks_to_mean():

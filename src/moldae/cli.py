@@ -25,8 +25,10 @@ numpy loads (required for bit-reproducible runs).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
+import time
 from pathlib import Path
 
 EXIT_OK = 0
@@ -282,18 +284,26 @@ def cmd_generate(args) -> int:
     meta = load_meta(args.checkpoint)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    start = time.perf_counter()
     generated = generate_set(params, config, vocab, args.n, args.seed,
                              temperature=args.temperature, max_len=args.max_len,
                              checkpoint_id=Path(args.checkpoint).name,
                              length_hist=meta.get("meta.length_hist"))
+    seconds = time.perf_counter() - start
     (out_dir / "generated.selfies").write_text("\n".join(generated.raw) + "\n", encoding="utf-8")
     (out_dir / "generated.smiles").write_text(
         "\n".join(c or "" for c in generated.canonical) + "\n", encoding="utf-8")
     echo_config({"command": "generate", "checkpoint": args.checkpoint, "vocab": args.vocab,
                  "n": str(args.n), "seed": str(args.seed), "temperature": str(args.temperature),
                  "max_len": str(args.max_len)}, out_dir / "config_resolved.txt")
-    n_valid = len(generated.valid())
-    print(f"generated {args.n} sequences; {n_valid} non-empty molecules")
+    # seconds and tokens/s are wall-clock, so this is the one file of generate that differs per rerun.
+    stats = {"n": len(generated), "empty": generated.empty, "truncated": generated.truncated,
+             "sampled_tokens": generated.tokens, "seconds": round(seconds, 6),
+             "tokens_per_s": round(generated.tokens / seconds, 1)}
+    (out_dir / "generation_stats.json").write_text(json.dumps(stats, indent=2) + "\n", encoding="utf-8")
+    print(f"generated {args.n} sequences; {len(generated.valid())} non-empty molecules; "
+          f"{generated.empty} empty, {generated.truncated} cut off at max_len; "
+          f"{generated.tokens} tokens in {seconds:.2f} s ({stats['tokens_per_s']:.0f} tokens/s)")
     return EXIT_OK
 
 

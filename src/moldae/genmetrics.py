@@ -17,8 +17,8 @@ import numpy as np
 from . import selfies
 from .canon import canonicalize
 from .fingerprint import fingerprint
-from .model import ModelConfig, sample_batch
-from .tokenizer import Vocabulary, decode_ids
+from .model import ModelConfig, _draw, sample_batch
+from .tokenizer import EOS, Vocabulary, decode_ids
 
 
 class MetricsError(ValueError):
@@ -27,12 +27,19 @@ class MetricsError(ValueError):
 
 @dataclass(frozen=True)
 class GeneratedSet:
-    """Raw emissions plus their decode results, in generation order."""
+    """Raw emissions plus their decode results, in generation order.
+
+    `generate_set` also counts what the sampler did: `tokens` ids sampled
+    after <bos> (<eos> included) and `truncated` samples cut off at max_len
+    with no <eos>.
+    """
 
     raw: tuple[str, ...]  # SELFIES text as emitted (may be empty)
     canonical: tuple[str | None, ...]  # canonical SMILES, or None for empty output
     seed: int = 0
     checkpoint_id: str = ""
+    tokens: int = 0
+    truncated: int = 0
 
     def __post_init__(self):
         if len(self.raw) != len(self.canonical):
@@ -43,6 +50,11 @@ class GeneratedSet:
 
     def valid(self) -> list[str]:
         return [c for c in self.canonical if c is not None]
+
+    @property
+    def empty(self) -> int:
+        """Emissions with no grammar token."""
+        return self.raw.count("")
 
 
 @dataclass(frozen=True)
@@ -93,7 +105,7 @@ def draw_source_length(length_hist: np.ndarray, rng: np.random.Generator) -> int
     total = hist.sum()
     if total <= 0:
         raise MetricsError("length histogram is empty")
-    return int(np.searchsorted(np.cumsum(hist / total), rng.random(), side="right"))
+    return _draw(hist / total, rng)
 
 
 def generate_set(params, config: ModelConfig, vocab: Vocabulary, n: int, seed: int,
@@ -113,6 +125,7 @@ def generate_set(params, config: ModelConfig, vocab: Vocabulary, n: int, seed: i
     children = np.random.SeedSequence(seed).spawn(n)
     raw: list[str] = []
     canon: list[str | None] = []
+    tokens = truncated = 0
     for lo in range(0, n, batch_size):
         rngs = [np.random.default_rng(s) for s in children[lo : lo + batch_size]]
         if length_hist is not None:
@@ -121,11 +134,14 @@ def generate_set(params, config: ModelConfig, vocab: Vocabulary, n: int, seed: i
             lengths = None
         for ids in sample_batch(params, config, rngs, max_len=max_len,
                                 temperature=temperature, source_lengths=lengths):
-            tokens = decode_ids(ids, vocab)
-            raw.append(selfies.join_tokens(tokens))
-            graph = selfies.decode(tokens)
+            tokens += len(ids) - 1
+            truncated += int(ids[-1] != EOS)
+            grammar = decode_ids(ids, vocab)
+            raw.append(selfies.join_tokens(grammar))
+            graph = selfies.decode(grammar)
             canon.append(canonicalize(graph) if len(graph) else None)
-    return GeneratedSet(tuple(raw), tuple(canon), seed=seed, checkpoint_id=checkpoint_id)
+    return GeneratedSet(tuple(raw), tuple(canon), seed=seed, checkpoint_id=checkpoint_id,
+                        tokens=tokens, truncated=truncated)
 
 
 def validity(generated: GeneratedSet) -> float:

@@ -5,8 +5,9 @@ encoder and decoder, tied input/output token embeddings, GELU feed-forward.
 The encoder attends bidirectionally over the corrupted sequence; the decoder
 runs causal self-attention plus cross-attention and is trained to reproduce
 the intact sequence token by token (teacher forcing, loss over all target
-positions). Everything is numpy + the in-repo autodiff; float32 for training,
-float64 for gradient-check work.
+positions). Sampling runs the same decoder incrementally, one token per
+step, with per-layer keys/values kept in a DecoderCache. Everything is numpy +
+the in-repo autodiff; float32 for training, float64 for gradient-check work.
 """
 
 from __future__ import annotations
@@ -137,27 +138,32 @@ def _dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     return ad.mul(x, keep)
 
 
-def _attention(params, prefix: str, q_in: Tensor, kv_in: Tensor, config: ModelConfig,
-               bias: np.ndarray | None) -> Tensor:
-    """Multi-head attention; `bias` is an additive mask broadcast to scores."""
+def _heads(params, prefix: str, x: Tensor, w: str, b: str, config: ModelConfig) -> Tensor:
+    """Project (B, L, d) through `w`/`b` and split it into heads (B, h, L, dh)."""
     h = config.n_heads
-    dh = config.d_model // h
-    bq, lq = q_in.shape[0], q_in.shape[1]
-    lk = kv_in.shape[1]
+    proj = _linear(x, params[f"{prefix}.{w}"], params[f"{prefix}.{b}"])
+    return ad.transpose(ad.reshape(proj, (x.shape[0], x.shape[1], h, config.d_model // h)), (0, 2, 1, 3))
 
-    def heads(x: Tensor, w: str, b: str, length: int) -> Tensor:
-        proj = _linear(x, params[f"{prefix}.{w}"], params[f"{prefix}.{b}"])
-        return ad.transpose(ad.reshape(proj, (bq, length, h, dh)), (0, 2, 1, 3))
 
-    q = heads(q_in, "wq", "bq", lq)
-    k = heads(kv_in, "wk", "bk", lk)
-    v = heads(kv_in, "wv", "bv", lk)
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), float(1.0 / np.sqrt(dh)))
+def _kv(params, prefix: str, x: Tensor, config: ModelConfig) -> tuple[Tensor, Tensor]:
+    return _heads(params, prefix, x, "wk", "bk", config), _heads(params, prefix, x, "wv", "bv", config)
+
+
+def _attention(params, prefix: str, q_in: Tensor, kv: tuple[Tensor, Tensor], config: ModelConfig,
+               bias: np.ndarray | None) -> Tensor:
+    """Multi-head attention of q_in over key/value heads `kv`, fresh or cached.
+
+    `bias` is an additive mask broadcast to the scores (B, h, Lq, Lk).
+    """
+    k, v = kv
+    q = _heads(params, prefix, q_in, "wq", "bq", config)
+    scale = float(1.0 / np.sqrt(config.d_model // config.n_heads))
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scale)
     if bias is not None:
         scores = ad.add(scores, bias.astype(scores.data.dtype))
     probs = ad.softmax(scores, axis=-1)
     ctx = ad.matmul(probs, v)
-    merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (bq, lq, config.d_model))
+    merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (q_in.shape[0], q_in.shape[1], config.d_model))
     return _linear(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
@@ -170,9 +176,9 @@ def _ln(params, prefix: str, x: Tensor) -> Tensor:
     return ad.layer_norm(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
 
 
-def _embed_tokens(params, ids: np.ndarray) -> Tensor:
+def _embed_tokens(params, ids: np.ndarray, offset: int = 0) -> Tensor:
     tok = ad.gather_rows(params["tok_emb"], ids)
-    pos = ad.gather_rows(params["pos_emb"], np.arange(ids.shape[1]))
+    pos = ad.gather_rows(params["pos_emb"], np.arange(offset, offset + ids.shape[1]))
     return ad.add(tok, pos)
 
 
@@ -181,8 +187,41 @@ def _pad_bias(pad_mask: np.ndarray) -> np.ndarray:
     return (1.0 - pad_mask[:, None, None, :]) * NEG_INF
 
 
-def _causal_bias(length: int) -> np.ndarray:
-    return np.triu(np.full((length, length), NEG_INF), k=1)[None, None, :, :]
+def _causal_bias(length: int, offset: int = 0) -> np.ndarray:
+    """Queries at positions offset..offset+length see keys at positions up to their own."""
+    return np.triu(np.full((length, offset + length), NEG_INF), k=offset + 1)[None, None, :, :]
+
+
+class DecoderCache:
+    """Incremental-decoding state that `decoder_forward` reads and extends.
+
+    Per decoder layer it holds the self-attention key/value heads of the
+    `offset` positions decoded so far and the cross-attention key/value heads
+    of the encoder states (projected once, on the first call), plus the
+    encoder pad bias. No gradient flows through it: it serves inference only.
+    """
+
+    def __init__(self):
+        self.offset = 0
+        self.self_kv: list[tuple[Tensor, Tensor]] = []
+        self.cross_kv: list[tuple[Tensor, Tensor]] = []
+        self.cross_bias: np.ndarray | None = None
+
+    def extend(self, layer: int, kv: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
+        """Append new self-attention key/value heads to `layer`'s; return all of them."""
+        if layer < len(self.self_kv):
+            kv = tuple(Tensor(np.concatenate((old.data, new.data), axis=2))
+                       for old, new in zip(self.self_kv[layer], kv))
+            self.self_kv[layer] = kv
+        else:
+            self.self_kv.append(kv)
+        return kv
+
+    def keep(self, rows: list[int]) -> None:
+        """Keep only batch rows `rows`, in that order, e.g. to drop finished samples."""
+        self.self_kv = [(Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in self.self_kv]
+        self.cross_kv = [(Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in self.cross_kv]
+        self.cross_bias = self.cross_bias[rows]
 
 
 def encoder_forward(params, config: ModelConfig, ids: np.ndarray, pad_mask: np.ndarray,
@@ -193,28 +232,53 @@ def encoder_forward(params, config: ModelConfig, ids: np.ndarray, pad_mask: np.n
     for i in range(config.encoder_layers):
         p = f"enc.{i}"
         normed = _ln(params, f"{p}.ln1", x)
-        attn = _attention(params, f"{p}.self", normed, normed, config, bias)
+        kv = _kv(params, f"{p}.self", normed, config)
+        attn = _attention(params, f"{p}.self", normed, kv, config, bias)
         x = ad.add(x, _dropout(attn, config.dropout, drop_rng))
         x = ad.add(x, _dropout(_ff(params, f"{p}.ff", _ln(params, f"{p}.ln2", x)), config.dropout, drop_rng))
     return _ln(params, "enc.ln_f", x)
 
 
 def decoder_forward(params, config: ModelConfig, ids: np.ndarray, enc_states: Tensor,
-                    enc_pad_mask: np.ndarray, drop_rng: np.random.Generator | None = None) -> Tensor:
-    """Causal decoder logits (B, L, vocab) over the tied embedding matrix."""
-    causal = _causal_bias(ids.shape[1])
-    cross_bias = _pad_bias(enc_pad_mask)
-    x = _dropout(_embed_tokens(params, ids), config.dropout, drop_rng)
+                    enc_pad_mask: np.ndarray, drop_rng: np.random.Generator | None = None,
+                    cache: DecoderCache | None = None) -> Tensor:
+    """Causal decoder logits (B, L, vocab) over the tied embedding matrix.
+
+    Without a cache, `ids` is the whole prefix from position 0. With one,
+    `ids` holds only the new tokens, at positions cache.offset onward: every
+    self-attention layer appends their keys/values to the cache, and the
+    cross-attention keys/values and pad bias of `enc_states`/`enc_pad_mask`
+    are computed on the cache's first call and reused (not re-read) after.
+    """
+    offset = 0 if cache is None else cache.offset
+    causal = _causal_bias(ids.shape[1], offset)
+    if cache is None:
+        cross_bias = _pad_bias(enc_pad_mask)
+    else:
+        if cache.cross_bias is None:
+            cache.cross_bias = _pad_bias(enc_pad_mask)
+        cross_bias = cache.cross_bias
+    x = _dropout(_embed_tokens(params, ids, offset), config.dropout, drop_rng)
     for i in range(config.decoder_layers):
         p = f"dec.{i}"
         normed = _ln(params, f"{p}.ln1", x)
+        self_kv = _kv(params, f"{p}.self", normed, config)
+        if cache is None:
+            cross_kv = _kv(params, f"{p}.cross", enc_states, config)
+        else:
+            self_kv = cache.extend(i, self_kv)
+            if i == len(cache.cross_kv):
+                cache.cross_kv.append(_kv(params, f"{p}.cross", enc_states, config))
+            cross_kv = cache.cross_kv[i]
         x = ad.add(x, _dropout(
-            _attention(params, f"{p}.self", normed, normed, config, causal),
+            _attention(params, f"{p}.self", normed, self_kv, config, causal),
             config.dropout, drop_rng))
         x = ad.add(x, _dropout(
-            _attention(params, f"{p}.cross", _ln(params, f"{p}.ln2", x), enc_states, config, cross_bias),
+            _attention(params, f"{p}.cross", _ln(params, f"{p}.ln2", x), cross_kv, config, cross_bias),
             config.dropout, drop_rng))
         x = ad.add(x, _dropout(_ff(params, f"{p}.ff", _ln(params, f"{p}.ln3", x)), config.dropout, drop_rng))
+    if cache is not None:
+        cache.offset += ids.shape[1]
     x = _ln(params, "dec.ln_f", x)
     return _linear(x, ad.transpose(params["tok_emb"], (1, 0)))
 
@@ -286,7 +350,17 @@ def _sample_from_logits(logits: np.ndarray, temperature: float, rng: np.random.G
     z -= z.max()
     p = np.exp(z)
     p /= p.sum()
-    return int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
+    return _draw(p, rng)
+
+
+def _draw(p: np.ndarray, rng: np.random.Generator) -> int:
+    """Index i with probability p[i], by inverse CDF with one uniform from `rng`.
+
+    The float cumulative sum can end below 1, so a uniform at or above its
+    last value falls back to the last index with positive mass, never len(p).
+    """
+    i = int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
+    return i if i < len(p) else int(np.flatnonzero(p)[-1])
 
 
 def sample_batch(params, config: ModelConfig, rngs: list[np.random.Generator],
@@ -315,18 +389,20 @@ def sample_batch(params, config: ModelConfig, rngs: list[np.random.Generator],
         enc_mask[i, : len(s)] = 1.0
     with ad.no_grad():
         enc_states = encoder_forward(params, config, enc_ids, enc_mask)
+        cache = DecoderCache()
         rows = [[BOS] for _ in range(n)]
         alive = list(range(n))
         while alive and len(rows[alive[0]]) < max_len:
-            prefix = np.asarray([rows[i] for i in alive], dtype=np.int64)
-            sub = Tensor(enc_states.data[alive])
-            logits = decoder_forward(params, config, prefix, sub, enc_mask[alive])
+            last = np.asarray([rows[i][-1:] for i in alive], dtype=np.int64)
+            logits = decoder_forward(params, config, last, enc_states, enc_mask, cache=cache)
             step_logits = logits.data[:, -1]
-            next_alive = []
+            keep = []
             for row, i in enumerate(alive):
                 nxt = _sample_from_logits(step_logits[row], temperature, rngs[i])
                 rows[i].append(nxt)
                 if nxt != EOS:
-                    next_alive.append(i)
-            alive = next_alive
+                    keep.append(row)
+            if len(keep) < len(alive):
+                cache.keep(keep)
+                alive = [alive[row] for row in keep]
     return [np.asarray(r, dtype=np.int64) for r in rows]

@@ -209,6 +209,10 @@ def train_probe(features: np.ndarray, labels: np.ndarray, task: str, lam: float,
     std = features.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
     present = ~np.isnan(labels)
+    counts = present.sum(axis=0)
+    unlabeled = np.flatnonzero(counts == 0)
+    if unlabeled.size:
+        raise DatasetError(f"output {unlabeled[0]}: no labels in the training fold")
     if task == "classification":
         for j in range(labels.shape[1]):
             col = labels[present[:, j], j]
@@ -216,7 +220,6 @@ def train_probe(features: np.ndarray, labels: np.ndarray, task: str, lam: float,
                 raise DatasetError(f"output {j}: training fold has a single class")
     # Standardized features with a column of ones for the bias.
     a = np.hstack([(features - mean) / std, np.ones((len(features), 1))])
-    counts = present.sum(axis=0)
     penalty = np.append(np.full(features.shape[1], lam), 0.0)
     theta = np.zeros((a.shape[1], labels.shape[1]))
     for steps in range(NEWTON_STEPS + 1):

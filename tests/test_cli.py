@@ -127,6 +127,12 @@ def test_generate_and_eval_gen(trained):
     raw = (gen_dir / "generated.selfies").read_text().splitlines()
     smi = (gen_dir / "generated.smiles").read_text().splitlines()
     assert len(raw) == 40 and len(smi) == 40
+    stats = json.loads((gen_dir / "generation_stats.json").read_text())
+    assert stats["n"] == 40 and stats["empty"] == raw.count("")
+    assert 0 <= stats["truncated"] <= 40
+    assert stats["sampled_tokens"] >= 40 - stats["truncated"]  # every finished row sampled <eos>
+    assert stats["seconds"] > 0
+    assert stats["tokens_per_s"] == pytest.approx(stats["sampled_tokens"] / stats["seconds"], rel=1e-3)
 
     eval_dir = root / "eval"
     rc = main(["eval-gen", "--generated", str(gen_dir / "generated.selfies"),

@@ -8,8 +8,8 @@ import pytest
 from moldae.canon import canonicalize
 from moldae.fingerprint import fingerprint, tanimoto
 from moldae.genmetrics import (
-    GeneratedSet, MetricsError, build_report, generate_set, internal_diversity,
-    novelty, unique_at, validity,
+    GeneratedSet, MetricsError, build_report, draw_source_length, generate_set,
+    internal_diversity, novelty, unique_at, validity,
 )
 from moldae.smiles import parse_smiles
 
@@ -110,7 +110,23 @@ def test_generated_set_alignment_checked():
         GeneratedSet(("a",), ("A", "B"))
 
 
-def test_generate_set_deterministic_and_batch_invariant():
+class TopUniform:
+    """Stub rng whose every uniform is the largest double below 1."""
+
+    def random(self):
+        return np.nextafter(1.0, 0.0)
+
+
+def test_draw_source_length_top_uniform_stays_in_histogram():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        hist = rng.integers(0, 50, size=30) * (rng.random(30) < 0.7)
+        hist[1] += 1
+        k = draw_source_length(hist, TopUniform())
+        assert k == np.flatnonzero(hist[1:])[-1] + 1
+
+
+def toy_generator():
     from moldae.model import ModelConfig, init_model
     from moldae.selfies import split_selfies
     from moldae.tokenizer import build_vocab
@@ -118,7 +134,26 @@ def test_generate_set_deterministic_and_batch_invariant():
     vocab = build_vocab([split_selfies("[C][N][O][=C][Branch1][Ring1]")])
     config = ModelConfig(vocab_size=len(vocab), d_model=16, n_heads=2, encoder_layers=1,
                          decoder_layers=1, ff_width=16, max_len=16)
-    params = init_model(config, np.random.default_rng(0))
+    return init_model(config, np.random.default_rng(0)), config, vocab
+
+
+def test_generate_set_counts_truncated_empty_and_tokens():
+    from moldae.model import sample_batch
+    from moldae.tokenizer import EOS, decode_ids
+
+    params, config, vocab = toy_generator()
+    got = generate_set(params, config, vocab, 40, seed=3, max_len=6)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(3).spawn(40)]
+    rows = sample_batch(params, config, rngs, max_len=6)
+    assert got.truncated == sum(r[-1] != EOS for r in rows)
+    assert 0 < got.truncated < 40
+    assert all(len(r) == 6 for r in rows if r[-1] != EOS)
+    assert got.tokens == sum(len(r) - 1 for r in rows)
+    assert got.empty == sum(not decode_ids(r, vocab) for r in rows)
+
+
+def test_generate_set_deterministic_and_batch_invariant():
+    params, config, vocab = toy_generator()
     a = generate_set(params, config, vocab, 7, seed=5, batch_size=3)
     b = generate_set(params, config, vocab, 7, seed=5, batch_size=7)
     c = generate_set(params, config, vocab, 7, seed=5, batch_size=1)

@@ -8,10 +8,10 @@ import pytest
 from moldae import autodiff as ad
 from moldae.autodiff import Tensor
 from moldae.model import (
-    ModelConfig, ModelConfigError, batch_denoise_loss, denoise_loss, embed, encoder_forward,
-    decoder_forward, init_model, parameter_count, sample_batch,
+    DecoderCache, ModelConfig, ModelConfigError, _sample_from_logits, batch_denoise_loss,
+    denoise_loss, embed, encoder_forward, decoder_forward, init_model, parameter_count, sample_batch,
 )
-from moldae.tokenizer import BOS, EOS, MASK, CorruptedPair
+from moldae.tokenizer import BOS, EOS, MASK, PAD, CorruptedPair
 
 TOY = ModelConfig(vocab_size=11, d_model=8, n_heads=2, encoder_layers=1,
                   decoder_layers=1, ff_width=12, max_len=12)
@@ -171,6 +171,43 @@ def test_decoder_causality():
             assert np.allclose(trunc[0, -1], full[0, t - 1], atol=1e-12)
 
 
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_cached_decoding_matches_full_prefix(dtype, tol):
+    """Token-by-token logits through a DecoderCache equal a full-prefix pass.
+
+    Padded batch with mixed source lengths; the first call feeds three
+    tokens, later calls one or two; rows are dropped mid-sequence.
+    """
+    params = toy_params(4, dtype=dtype)
+    for name, p in params.items():
+        if ".ln" not in name:
+            p.data *= 10  # sharper attention than the N(0, 0.02) init
+    rng = np.random.default_rng(5)
+    lengths = [3, 7, 5, 2]
+    src = np.full((4, 9), PAD)
+    src_mask = np.zeros((4, 9))
+    for i, k in enumerate(lengths):
+        src[i, : k + 2] = [BOS] + list(rng.integers(5, TOY.vocab_size, size=k)) + [EOS]
+        src_mask[i, : k + 2] = 1.0
+    tokens = np.column_stack([np.full(4, BOS), rng.integers(5, TOY.vocab_size, size=(4, 9))])
+    alive = np.arange(4)
+    drops = {4: [1], 7: [0, 3]}  # step offset -> rows that finish there
+    cache = DecoderCache()
+    with ad.no_grad():
+        enc = encoder_forward(params, TOY, src, src_mask)
+        for lo, hi in [(0, 3), (3, 4), (4, 6), (6, 7), (7, 8), (8, 10)]:
+            for row in drops.get(lo, []):
+                cache.keep(list(np.flatnonzero(alive != row)))
+                alive = alive[alive != row]
+            step = decoder_forward(params, TOY, tokens[alive, lo:hi], enc, src_mask, cache=cache).data
+            full = decoder_forward(params, TOY, tokens[alive, :hi], Tensor(enc.data[alive]),
+                                   src_mask[alive]).data
+            assert step.dtype == dtype and step.shape == (len(alive), hi - lo, TOY.vocab_size)
+            assert np.abs(step - full[:, lo:]).max() <= tol
+            assert np.abs(full).max() > 1.0  # the comparison is not between near-zero logits
+    assert cache.offset == 10 and list(alive) == [2]
+
+
 def test_greedy_chain_matches_teacher_forced_argmax():
     params = toy_params(7)
     ids = np.array([BOS, 5, 6, 7, EOS])
@@ -265,6 +302,32 @@ def test_sample_deterministic_and_temperature_limit():
     cold = sample_one(params, np.random.default_rng(3), temperature=1e-9)
     ids = np.array([BOS, EOS])
     assert np.array_equal(cold, np.array(greedy(params, encode(params, TOY, ids), np.ones(2))))
+
+
+class FixedUniform:
+    """Stub rng whose every uniform is `u`."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_sample_from_logits_top_uniform_stays_in_vocabulary():
+    """A uniform at or above the float cumsum's last value picks the last index with mass."""
+    rng = np.random.default_rng(0)
+    top = FixedUniform(np.nextafter(1.0, 0.0))
+    for _ in range(200):
+        logits = rng.normal(size=TOY.vocab_size) * 3
+        assert _sample_from_logits(logits, 1.0, top) == TOY.vocab_size - 1
+        logits[-3:] = -2000.0  # exp underflows to zero mass
+        assert _sample_from_logits(logits, 1.0, top) == TOY.vocab_size - 4
+        # Every draw below the cumsum's last value is plain inverse-CDF sampling.
+        p = np.exp(logits - logits.max())
+        cdf = np.cumsum(p / p.sum())
+        for u in rng.random(5) * cdf[-1]:
+            assert _sample_from_logits(logits, 1.0, FixedUniform(u)) == np.searchsorted(cdf, u, side="right")
 
 
 def test_sample_respects_max_len():

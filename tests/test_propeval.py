@@ -1,5 +1,7 @@
 """Property-prediction harness: metrics oracles, probe behavior, split hygiene."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,15 @@ def test_train_probe_single_class_raises():
     x = np.random.default_rng(0).normal(size=(10, 2))
     with pytest.raises(DatasetError):
         train_probe(x, np.ones(10), "classification", lam=0.1)
+
+
+def test_train_probe_output_without_labels_raises():
+    x = np.random.default_rng(0).normal(size=(30, 3))
+    labels = np.column_stack([x @ np.ones(3), np.full(30, np.nan), x[:, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DatasetError, match="output 1: no labels in the training fold"):
+            train_probe(x, labels, "regression", lam=0.1)
 
 
 def test_probe_standardization_uses_train_stats_only():

@@ -14,9 +14,12 @@ exception classes match wins, and main prints `error: <message>` to stderr:
      without optimizer state), VocabularyError (malformed vocabulary, one
      that does not match the checkpoint, empty training corpus)
   1  domain: TrainingDivergedError, RecursionError, ValueError (every other
-     moldae error: bad molecule, grammar or metric input)
-  0  ok; convert and embed also return 1 when a line was rejected, unless
-     --lenient is given
+     moldae error: bad molecule, grammar or metric input, generate
+     --max-len below 2)
+  0  ok; a molecule that cannot be processed (bad input, or too deep:
+     RecursionError) does not end a run: convert and embed write it as a
+     blank line plus a `<lineno>\t<reason>` row of <output>.rejects and
+     return 1 unless --lenient is given; eval-prop drops and counts it
 
 Heavy imports happen inside main() so --threads can pin BLAS pools before
 numpy loads (required for bit-reproducible runs).
@@ -145,43 +148,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _per_line(args, convert, config: dict[str, str], summary: str) -> int:
+    """Write convert(line) for each --input line to --output, line for line.
+
+    Blank lines pass through. A line whose conversion raises one of
+    propeval.REJECTS becomes a blank output line and a `<lineno>\t<reason>`
+    row of <output>.rejects. The resolved command line (with `config`) goes
+    to <output>.config.txt, and `summary` is printed with the counts. Exit 0,
+    or 1 when a line was rejected and --lenient is not given.
+    """
+    from .propeval import REJECTS
+
+    out_path = Path(args.output)
+    rejects: list[str] = []
+    out_lines: list[str] = []
+    with open(args.input, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            text = line.strip()
+            try:
+                out_lines.append(convert(text) if text else "")
+            except REJECTS as exc:
+                rejects.append(f"{lineno}\t{exc}")
+                out_lines.append("")
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.write_text("".join(f"{line}\n" for line in out_lines), encoding="utf-8")
+    Path(str(out_path) + ".rejects").write_text("".join(f"{r}\n" for r in rejects), encoding="utf-8")
+    echo_config({"command": args.command, "input": args.input, "output": args.output,
+                 "lenient": str(args.lenient).lower(), **config}, Path(str(out_path) + ".config.txt"))
+    print(summary.format(kept=len(out_lines) - len(rejects), total=len(out_lines), rejected=len(rejects)))
+    return EXIT_OK if (not rejects or args.lenient) else EXIT_DOMAIN
+
+
 def cmd_convert(args) -> int:
     from .canon import write_smiles
     from .graph import GraphError
     from . import selfies
-    from .smiles import SmilesParseError, parse_smiles
+    from .smiles import parse_smiles
 
-    out_path = Path(args.output)
-    rejects: list[str] = []
-    lines = Path(args.input).read_text(encoding="utf-8").splitlines()
-    out_lines: list[str] = []
-    for lineno, line in enumerate(lines, 1):
-        text = line.strip()
-        if not text:
-            out_lines.append("")
-            continue
-        try:
-            if args.direction == "smiles-to-selfies":
-                out_lines.append(selfies.join_tokens(selfies.encode(parse_smiles(text))))
-            else:
-                graph = selfies.decode(selfies.split_selfies(text))
-                if not len(graph):
-                    raise GraphError("decodes to the empty molecule")
-                out_lines.append(write_smiles(graph))
-        except (SmilesParseError, GraphError, selfies.SelfiesError, selfies.EncodeError,
-                RecursionError) as exc:
-            rejects.append(f"{lineno}\t{exc}")
-            out_lines.append("")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text("\n".join(out_lines) + ("\n" if out_lines else ""), encoding="utf-8")
-    Path(str(out_path) + ".rejects").write_text(
-        "\n".join(rejects) + ("\n" if rejects else ""), encoding="utf-8")
-    echo_config(
-        {"command": "convert", "input": args.input, "output": args.output,
-         "direction": args.direction, "lenient": str(args.lenient).lower()},
-        Path(str(out_path) + ".config.txt"))
-    print(f"converted {len(lines) - len(rejects)}/{len(lines)} lines, {len(rejects)} rejected")
-    return EXIT_OK if (not rejects or args.lenient) else EXIT_DOMAIN
+    def convert(text: str) -> str:
+        if args.direction == "smiles-to-selfies":
+            return selfies.join_tokens(selfies.encode(parse_smiles(text)))
+        graph = selfies.decode(selfies.split_selfies(text))
+        if not len(graph):
+            raise GraphError("decodes to the empty molecule")
+        return write_smiles(graph)
+
+    return _per_line(args, convert, {"direction": args.direction},
+                     "converted {kept}/{total} lines, {rejected} rejected")
 
 
 def cmd_make_corpus(args) -> int:
@@ -341,37 +354,15 @@ def cmd_eval_gen(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    from .graph import GraphError
-    from .model import embed
-    from . import selfies
-    from .smiles import SmilesParseError, parse_smiles
-    from .tokenizer import encode_ids
+    from .propeval import embed_smiles
 
     config, params, vocab = _load_model(args)
-    rejects: list[str] = []
-    out_path = Path(args.output)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(args.input, encoding="utf-8") as in_fh, open(out_path, "w", encoding="utf-8") as out_fh:
-        for lineno, line in enumerate(in_fh, 1):
-            text = line.strip()
-            if not text:
-                out_fh.write("\n")
-                continue
-            try:
-                ids = encode_ids(selfies.encode(parse_smiles(text)), vocab)
-                vector = embed(params, config, ids)
-                out_fh.write(",".join(f"{x:.8g}" for x in vector) + "\n")
-            except (SmilesParseError, GraphError, selfies.EncodeError, ValueError,
-                    RecursionError) as exc:
-                rejects.append(f"{lineno}\t{exc}")
-                out_fh.write("\n")
-    Path(str(out_path) + ".rejects").write_text(
-        "\n".join(rejects) + ("\n" if rejects else ""), encoding="utf-8")
-    echo_config({"command": "embed", "checkpoint": args.checkpoint, "vocab": args.vocab,
-                 "input": args.input, "output": args.output,
-                 "lenient": str(args.lenient).lower()}, Path(str(out_path) + ".config.txt"))
-    print(f"embedded with {len(rejects)} rejects")
-    return EXIT_OK if (not rejects or args.lenient) else EXIT_DOMAIN
+
+    def embed_line(text: str) -> str:
+        return ",".join(f"{x:.8g}" for x in embed_smiles(text, params, config, vocab))
+
+    return _per_line(args, embed_line, {"checkpoint": args.checkpoint, "vocab": args.vocab},
+                     "embedded with {rejected} rejects")
 
 
 def cmd_eval_prop(args) -> int:

@@ -170,18 +170,24 @@ def novelty(generated: GeneratedSet, training_canon: set[str]) -> float:
     return len(distinct - training_canon) / len(distinct)
 
 
-def _pairwise_tanimoto_mean(smiles: list[str], p: int, radius: int, width: int) -> float:
-    fps = np.stack([fingerprint_from_smiles(s, radius, width) for s in smiles]).astype(np.float64)
+def _diversities(generated: GeneratedSet, powers: tuple[int, ...], radius: int, width: int
+                 ) -> list[float]:
+    """Internal diversity for each p in `powers`, from one fingerprint and similarity pass."""
+    distinct = sorted(set(generated.valid()))
+    if not distinct:
+        raise MetricsError("no valid molecules")
+    fps = np.stack([fingerprint_from_smiles(s, radius, width) for s in distinct]).astype(np.float64)
     pop = fps.sum(axis=1)
-    total = 0.0
+    totals = [0.0] * len(powers)
     block = 256
-    for lo in range(0, len(smiles), block):
+    for lo in range(0, len(distinct), block):
         chunk = fps[lo : lo + block]
         inter = chunk @ fps.T
         union = pop[lo : lo + block, None] + pop[None, :] - inter
         sim = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 1.0)
-        total += float((sim**p).sum())
-    return total / (len(smiles) ** 2)
+        for j, p in enumerate(powers):
+            totals[j] += float((sim**p).sum())
+    return [1.0 - (total / len(distinct) ** 2) ** (1.0 / p) for total, p in zip(totals, powers)]
 
 
 def fingerprint_from_smiles(smiles_text: str, radius: int, width: int) -> np.ndarray:
@@ -194,11 +200,7 @@ def internal_diversity(generated: GeneratedSet, p: int = 1, radius: int = 2, wid
     """1 - (mean of pairwise Tanimoto^p over distinct valid molecules)^(1/p)."""
     if p not in (1, 2):
         raise MetricsError("p must be 1 or 2")
-    distinct = sorted(set(generated.valid()))
-    if not distinct:
-        raise MetricsError("no valid molecules")
-    mean_pow = _pairwise_tanimoto_mean(distinct, p, radius, width)
-    return 1.0 - mean_pow ** (1.0 / p)
+    return _diversities(generated, (p,), radius, width)[0]
 
 
 def load_training_canon(path: str | Path) -> set[str]:
@@ -224,12 +226,11 @@ def build_report(generated: GeneratedSet, training_canon: set[str], k: int | Non
     valid = generated.valid()
     distinct = set(valid)
     return GenerationReport(
-        validity=validity(generated),
-        unique_at_k=unique_at(generated, k),
-        k=k,
-        novelty=novelty(generated, training_canon),
-        intdiv1=internal_diversity(generated, 1, radius, width),
-        intdiv2=internal_diversity(generated, 2, radius, width),
+        validity(generated),
+        unique_at(generated, k),
+        k,
+        novelty(generated, training_canon),
+        *_diversities(generated, (1, 2), radius, width),  # intdiv1, intdiv2
         counts={
             "n": len(generated),
             "valid": len(valid),

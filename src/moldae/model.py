@@ -110,16 +110,6 @@ def init_model(config: ModelConfig, rng: np.random.Generator, dtype=np.float32) 
     return params
 
 
-def parameter_count(config: ModelConfig) -> int:
-    d, ff, v, m = config.d_model, config.ff_width, config.vocab_size, config.max_len
-    attn = 4 * d * d + 4 * d
-    ln = 2 * d
-    ffp = d * ff + ff + ff * d + d
-    enc_layer = attn + 2 * ln + ffp
-    dec_layer = 2 * attn + 3 * ln + ffp
-    return v * d + m * d + config.encoder_layers * enc_layer + config.decoder_layers * dec_layer + 2 * ln
-
-
 def _check_ids(ids: np.ndarray, config: ModelConfig) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim == 1:
@@ -198,7 +188,8 @@ class DecoderCache:
     Per decoder layer it holds the self-attention key/value heads of the
     `offset` positions decoded so far and the cross-attention key/value heads
     of the encoder states (projected once, on the first call), plus the
-    encoder pad bias. No gradient flows through it: it serves inference only.
+    encoder pad bias. Gradients flow only through a single call (training);
+    keys/values concatenated on later calls are detached copies.
     """
 
     def __init__(self):
@@ -244,41 +235,33 @@ def decoder_forward(params, config: ModelConfig, ids: np.ndarray, enc_states: Te
                     cache: DecoderCache | None = None) -> Tensor:
     """Causal decoder logits (B, L, vocab) over the tied embedding matrix.
 
-    Without a cache, `ids` is the whole prefix from position 0. With one,
-    `ids` holds only the new tokens, at positions cache.offset onward: every
-    self-attention layer appends their keys/values to the cache, and the
-    cross-attention keys/values and pad bias of `enc_states`/`enc_pad_mask`
-    are computed on the cache's first call and reused (not re-read) after.
+    `ids` holds the new tokens, at positions cache.offset onward (0 for a
+    fresh cache, which is made when `cache` is None: the whole prefix in one
+    call, as in training). Every self-attention layer appends their
+    keys/values to the cache, and the cross-attention keys/values and pad
+    bias of `enc_states`/`enc_pad_mask` are computed on the cache's first
+    call and reused (not re-read) after.
     """
-    offset = 0 if cache is None else cache.offset
-    causal = _causal_bias(ids.shape[1], offset)
-    if cache is None:
-        cross_bias = _pad_bias(enc_pad_mask)
-    else:
-        if cache.cross_bias is None:
-            cache.cross_bias = _pad_bias(enc_pad_mask)
-        cross_bias = cache.cross_bias
-    x = _dropout(_embed_tokens(params, ids, offset), config.dropout, drop_rng)
+    cache = DecoderCache() if cache is None else cache
+    causal = _causal_bias(ids.shape[1], cache.offset)
+    if cache.cross_bias is None:
+        cache.cross_bias = _pad_bias(enc_pad_mask)
+    x = _dropout(_embed_tokens(params, ids, cache.offset), config.dropout, drop_rng)
     for i in range(config.decoder_layers):
         p = f"dec.{i}"
         normed = _ln(params, f"{p}.ln1", x)
-        self_kv = _kv(params, f"{p}.self", normed, config)
-        if cache is None:
-            cross_kv = _kv(params, f"{p}.cross", enc_states, config)
-        else:
-            self_kv = cache.extend(i, self_kv)
-            if i == len(cache.cross_kv):
-                cache.cross_kv.append(_kv(params, f"{p}.cross", enc_states, config))
-            cross_kv = cache.cross_kv[i]
+        self_kv = cache.extend(i, _kv(params, f"{p}.self", normed, config))
+        if i == len(cache.cross_kv):
+            cache.cross_kv.append(_kv(params, f"{p}.cross", enc_states, config))
         x = ad.add(x, _dropout(
             _attention(params, f"{p}.self", normed, self_kv, config, causal),
             config.dropout, drop_rng))
         x = ad.add(x, _dropout(
-            _attention(params, f"{p}.cross", _ln(params, f"{p}.ln2", x), cross_kv, config, cross_bias),
+            _attention(params, f"{p}.cross", _ln(params, f"{p}.ln2", x), cache.cross_kv[i], config,
+                       cache.cross_bias),
             config.dropout, drop_rng))
         x = ad.add(x, _dropout(_ff(params, f"{p}.ff", _ln(params, f"{p}.ln3", x)), config.dropout, drop_rng))
-    if cache is not None:
-        cache.offset += ids.shape[1]
+    cache.offset += ids.shape[1]
     x = _ln(params, "dec.ln_f", x)
     return _linear(x, ad.transpose(params["tok_emb"], (1, 0)))
 
@@ -377,6 +360,8 @@ def sample_batch(params, config: ModelConfig, rngs: list[np.random.Generator],
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
     max_len = config.max_len if max_len is None else min(max_len, config.max_len)
+    if max_len < 2:
+        raise ValueError(f"max_len must be >= 2 (<bos> and one sampled token), got {max_len}")
     n = len(rngs)
     if source_lengths is None:
         source_lengths = [None] * n

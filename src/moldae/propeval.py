@@ -150,26 +150,33 @@ def split(dataset: PropertyDataset, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> Sp
     return SplitAssignment(tuple(folds), seed, ratios)
 
 
+REJECTS = (ValueError, RecursionError)  # what one bad molecule raises; the run goes on
+
+
+def embed_smiles(text: str, params, config: ModelConfig, vocab: Vocabulary) -> np.ndarray:
+    """Embedding row of one SMILES text: parse, grammar-encode, map to ids, embed.
+
+    A molecule that cannot be embedded raises one of REJECTS, whose message is
+    the reason: a parse, valence or alphabet error, a sequence over max_len,
+    or a molecule too deep to process (RecursionError).
+    """
+    return embed(params, config, encode_ids(selfies.encode(parse_smiles(text)), vocab))
+
+
 def featurize(dataset: PropertyDataset, params, config: ModelConfig, vocab: Vocabulary
               ) -> tuple[np.ndarray, np.ndarray, int]:
     """Embed every record; returns (features, row indices kept, dropped count)."""
     rows: list[np.ndarray] = []
     kept: list[int] = []
-    dropped = 0
     for i, text in enumerate(dataset.smiles):
         try:
-            tokens = selfies.encode(parse_smiles(text))
-            ids = encode_ids(tokens, vocab)
-            if len(ids) > config.max_len:
-                raise ValueError("over-length")
-            rows.append(embed(params, config, ids))
-        except (selfies.EncodeError, SmilesParseError, GraphError, ValueError):
-            dropped += 1
+            rows.append(embed_smiles(text, params, config, vocab))
+        except REJECTS:
             continue
         kept.append(i)
     if not rows:
         raise DatasetError("no record could be featurized")
-    return np.stack(rows), np.asarray(kept), dropped
+    return np.stack(rows), np.asarray(kept), len(dataset) - len(kept)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .model import ModelConfig, batch_denoise_loss, init_model
 from .selfies import split_selfies
 from .tokenizer import PAD, Vocabulary, corrupt, encode_ids
 
-_TAGS = {"init": 0, "shuffle": 1, "mask": 2, "sample": 3, "dropout": 4}
+_TAGS = {"init": 0, "shuffle": 1, "mask": 2, "dropout": 4}
 
 
 class TrainingDivergedError(RuntimeError):

@@ -326,6 +326,9 @@ FAILURES = {
     "train-unreadable-config": (lambda run, root, tmp: [
         "train", "--corpus", str(root / "corpus.selfies"), "--out-dir", str(tmp / "t"),
         "--config", str(tmp / "missing.config")], 2, "missing.config"),
+    "generate-max-len-below-2": (lambda run, root, tmp: _generate(
+        str(run / "checkpoint_final.bin"), str(run / "vocab.txt"), str(tmp / "gen")) + ["--max-len", "1"],
+        1, "max_len must be >= 2"),
     "convert-3000-atom-chain": (lambda run, root, tmp: [
         "convert", "--input", _write(tmp, "chain.smiles", CHAIN + "\n"),
         "--output", str(tmp / "chain.selfies")], 1, ""),
@@ -380,6 +383,22 @@ def test_recursion_limit_line_is_a_reject(trained, tmp_path):
     assert (tmp_path / "emb.csv.rejects").read_text().startswith("2\t")
     assert emb.read_text().split("\n")[1] == ""
     assert main(argv + ["--lenient"]) == 0
+
+
+def test_eval_prop_drops_too_deep_molecule(trained, tmp_path):
+    root, run, _ = trained
+    ckpt, vocab = str(run / "checkpoint_final.bin"), str(run / "vocab.txt")
+    rows = [f"{s},{len(s)}" for s in (root / "corpus.smiles").read_text().splitlines()[:40]]
+    results = []
+    for tag, extra in (("plain", []), ("chain", [f"{CHAIN},3000"])):
+        tmp = tmp_path / tag
+        tmp.mkdir()
+        assert main(_eval_prop(ckpt, vocab, root, tmp, rows=rows[:20] + extra + rows[20:])) == 0
+        results.append(json.loads((tmp / "prop" / "property_result.json").read_text()))
+    plain, chain = results
+    assert chain["dropped_rows"] == plain["dropped_rows"] + 1
+    assert {k: v for k, v in chain.items() if k != "dropped_rows"} == \
+        {k: v for k, v in plain.items() if k != "dropped_rows"}
 
 
 def test_process_exit_code_without_traceback(trained, tmp_path):

@@ -105,6 +105,23 @@ def test_report_json_and_table(corpus_small):
     assert "unique@7" in report.to_table()
 
 
+def test_build_report_fingerprints_each_distinct_molecule_once(corpus_small, monkeypatch):
+    import moldae.genmetrics as genmetrics
+
+    molecules = [canonicalize(parse_smiles(s)) for s in corpus_small[:6]]
+    calls = []
+
+    def counting(graph, radius, width):
+        calls.append(graph)
+        return fingerprint(graph, radius, width)
+
+    monkeypatch.setattr(genmetrics, "fingerprint", counting)
+    report = build_report(gen(*molecules, molecules[0], None), training_canon=set())
+    assert len(calls) == len(set(molecules)) == 6
+    for p, value in ((1, report.intdiv1), (2, report.intdiv2)):
+        assert value == internal_diversity(gen(*molecules), p)
+
+
 def test_generated_set_alignment_checked():
     with pytest.raises(MetricsError):
         GeneratedSet(("a",), ("A", "B"))

@@ -9,7 +9,7 @@ from moldae import autodiff as ad
 from moldae.autodiff import Tensor
 from moldae.model import (
     DecoderCache, ModelConfig, ModelConfigError, _sample_from_logits, batch_denoise_loss,
-    denoise_loss, embed, encoder_forward, decoder_forward, init_model, parameter_count, sample_batch,
+    denoise_loss, embed, encoder_forward, decoder_forward, init_model, sample_batch,
 )
 from moldae.tokenizer import BOS, EOS, MASK, PAD, CorruptedPair
 
@@ -74,7 +74,6 @@ def test_parameter_count_matches_hand_formula():
     decoder = 2 * (2 * attention + 3 * layer_norm + feed_forward)
     expected = v * d + m * d + encoder + decoder + 2 * layer_norm
     assert actual == expected
-    assert parameter_count(config) == expected
 
 
 def test_encoder_output_shape_and_finite():
@@ -338,6 +337,15 @@ def test_sample_respects_max_len():
         assert ids[0] == BOS
         if len(ids) < 6:
             assert ids[-1] == EOS
+
+
+def test_sample_batch_rejects_max_len_below_2():
+    params = toy_params(21)
+    for max_len in (1, 0, -3):
+        with pytest.raises(ValueError, match="max_len must be >= 2"):
+            sample_batch(params, TOY, [np.random.default_rng(0)], max_len=max_len)
+    (ids,) = sample_batch(params, TOY, [np.random.default_rng(0)], max_len=2)
+    assert len(ids) == 2 and ids[0] == BOS
 
 
 def test_sample_batch_equals_sequential():

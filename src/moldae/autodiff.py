@@ -2,10 +2,19 @@
 
 A Tensor wraps an ndarray and remembers how it was produced; backward() walks
 the tape in reverse topological order. Only the operations the sequence model
-needs are provided, several of them fused with hand-derived gradients
-(layer_norm, gelu, softmax, cross_entropy) — the finite-difference test suite
-checks every one of them. A `no_grad` context suppresses tape construction
-for inference paths.
+needs are provided, several of them fused into one tape node with
+hand-derived gradients — the finite-difference test suite checks every one:
+
+- `linear`: (..., d) @ (d, k) + bias as one flat GEMM;
+- `attention`: multi-head scaled dot-product attention over projected
+  (B, L, d) queries/keys/values, from the head split to the head merge,
+  additive mask and softmax included;
+- `layer_norm`, `gelu` and `cross_entropy`.
+
+An op hands `Tensor.accumulate` the gradient arrays it has just allocated, so
+the first gradient of a tensor is adopted rather than copied. No op makes
+float64 temporaries in a float32 graph. A `no_grad` context suppresses tape
+construction for inference paths.
 """
 
 from __future__ import annotations
@@ -46,10 +55,16 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def accumulate(self, g: np.ndarray) -> None:
+    def accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add `g` into this tensor's gradient.
+
+        `owned` says the caller has just allocated `g` and keeps no other
+        reference, so the first gradient may adopt it. Anything else — a view
+        (reshape/transpose backward) or an array handed to two parents (add's
+        `g`) — is copied, since a later `+=` would write through it.
+        """
         if self.grad is None:
-            # copy: g may be a view (reshape/transpose backward) shared elsewhere
-            self.grad = np.array(g, dtype=self.data.dtype)
+            self.grad = g if owned and g.dtype == self.data.dtype else np.array(g, dtype=self.data.dtype)
         else:
             self.grad += g
 
@@ -75,7 +90,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.accumulate(np.ones_like(self.data))
+        self.accumulate(np.ones_like(self.data), owned=True)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -98,39 +113,42 @@ def _make(data, parents, backward) -> Tensor:
 
 
 def add(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):  # constant offset (masks, shifts)
-        out_data = a.data + b
+    if not isinstance(b, Tensor):  # constant offset
+        out_data = a.data + np.asarray(b, dtype=a.data.dtype)
 
         def backward(g):
-            a.accumulate(_unbroadcast(g, a.data.shape))
+            ga = _unbroadcast(g, a.data.shape)
+            a.accumulate(ga, owned=ga is not g)
 
         return _make(out_data, (a,), backward)
     out_data = a.data + b.data
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g, b.data.shape))
+        # g reaches both parents: only a reduced (fresh) gradient is owned.
+        for t in (a, b):
+            if t.requires_grad:
+                gt = _unbroadcast(g, t.data.shape)
+                t.accumulate(gt, owned=gt is not g)
 
     return _make(out_data, (a, b), backward)
 
 
 def mul(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):  # constant scale (1/sqrt(d), dropout mask)
+    if not isinstance(b, Tensor):  # constant scale (dropout mask)
+        b = np.asarray(b, dtype=a.data.dtype)
         out_data = a.data * b
 
         def backward(g):
-            a.accumulate(_unbroadcast(g * b, a.data.shape))
+            a.accumulate(_unbroadcast(g * b, a.data.shape), owned=True)
 
         return _make(out_data, (a,), backward)
     out_data = a.data * b.data
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate(_unbroadcast(g * b.data, a.data.shape))
+            a.accumulate(_unbroadcast(g * b.data, a.data.shape), owned=True)
         if b.requires_grad:
-            b.accumulate(_unbroadcast(g * a.data, b.data.shape))
+            b.accumulate(_unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return _make(out_data, (a, b), backward)
 
@@ -141,10 +159,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
             ga = g @ np.swapaxes(b.data, -1, -2)
-            a.accumulate(_unbroadcast(ga, a.data.shape))
+            a.accumulate(_unbroadcast(ga, a.data.shape), owned=True)
         if b.requires_grad:
             gb = np.swapaxes(a.data, -1, -2) @ g
-            b.accumulate(_unbroadcast(gb, b.data.shape))
+            b.accumulate(_unbroadcast(gb, b.data.shape), owned=True)
 
     return _make(out_data, (a, b), backward)
 
@@ -168,6 +186,81 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w (+ b) for x (..., d) and w (d, k), as one flat GEMM over the leading axes.
+
+    `w` may be a transposed view (the tied output projection).
+    """
+    flat = x.data.reshape(-1, x.shape[-1])
+    out_data = flat @ w.data
+    if b is not None:
+        out_data += b.data
+
+    def backward(g):
+        g = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            x.accumulate((g @ w.data.T).reshape(x.shape), owned=True)
+        if w.requires_grad:
+            w.accumulate(flat.T @ g, owned=True)
+        if b is not None and b.requires_grad:
+            b.accumulate(g.sum(axis=0), owned=True)
+
+    parents = (x, w) if b is None else (x, w, b)
+    return _make(out_data.reshape(x.shape[:-1] + (w.shape[1],)), parents, backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention of queries q over keys k / values v.
+
+    q: (B, Lq, d) and k, v: (B, Lk, d), already projected. Splits d into
+    `n_heads` heads of d // n_heads, takes softmax(q k^T / sqrt(dh) + bias) v
+    per head and merges the heads back into (B, Lq, d). `bias` is an additive
+    mask broadcast to the scores (B, n_heads, Lq, Lk), or None. Backward keeps
+    the probabilities from the forward pass.
+    """
+    batch, _, d = q.shape
+    dh = d // n_heads
+
+    def split(a: np.ndarray) -> np.ndarray:  # (B, L, d) -> (B, h, L, dh), a view
+        return a.reshape(batch, a.shape[1], n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merged_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b over heads, written straight into the merged (B, L, d) layout."""
+        out = np.empty((batch, a.shape[2], d), dtype=a.dtype)
+        np.matmul(a, b, out=split(out))
+        return out
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = float(1.0 / np.sqrt(dh))
+    p = qh @ kh.swapaxes(-1, -2)
+    p *= scale
+    if bias is not None:
+        p += bias.astype(p.dtype, copy=False)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        gh = split(g)
+        if v.requires_grad:
+            v.accumulate(merged_matmul(p.swapaxes(-1, -2), gh), owned=True)
+        if q.requires_grad or k.requires_grad:
+            # Through the context product, the softmax and the scale: d loss / d (q k^T).
+            ds = gh @ vh.swapaxes(-1, -2)
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= scale
+            if q.requires_grad:
+                q.accumulate(merged_matmul(ds, kh), owned=True)
+            if k.requires_grad:
+                # As (q^T ds)^T: ds^T q has the same products, but BLAS may sum them in
+                # another order at some shapes, which would move float32 training bits.
+                dk = qh.swapaxes(-1, -2) @ ds
+                k.accumulate(dk.transpose(0, 3, 1, 2).reshape(batch, dk.shape[3], d), owned=True)
+
+    return _make(merged_matmul(p, vh), (q, k, v), backward)
+
+
 def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     """out[..., :] = table[ids]; used for token and positional embeddings."""
     ids = np.asarray(ids)
@@ -176,63 +269,93 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     def backward(g):
         gt = np.zeros_like(table.data)
         np.add.at(gt, ids, g)
-        table.accumulate(gt)
+        table.accumulate(gt, owned=True)
 
     return _make(out_data, (table,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out_data = xhat * gain.data + bias.data
+    """Normalize the last axis to zero mean / unit variance, then affine by (d,) gain and bias."""
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    out_data = xhat * xhat
+    inv = 1.0 / np.sqrt(out_data.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out_data)
+    out_data += bias.data
 
     def backward(g):
+        lead = tuple(range(g.ndim - 1))
+        scratch = g * xhat
         if gain.requires_grad:
-            gain.accumulate(_unbroadcast(g * xhat, gain.data.shape))
+            gain.accumulate(scratch.sum(axis=lead), owned=True)
         if bias.requires_grad:
-            bias.accumulate(_unbroadcast(g, bias.data.shape))
+            bias.accumulate(g.sum(axis=lead), owned=True)
         if x.requires_grad:
-            gx_hat = g * gain.data
-            gx = inv * (
-                gx_hat
-                - gx_hat.mean(axis=-1, keepdims=True)
-                - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True)
-            )
-            x.accumulate(gx)
+            # gx = inv * (gx_hat - mean(gx_hat) - xhat * mean(gx_hat * xhat)), gx_hat = g * gain
+            gx = g * gain.data
+            np.multiply(gx, xhat, out=scratch)
+            mean_gx_xhat = scratch.mean(axis=-1, keepdims=True)
+            gx -= gx.mean(axis=-1, keepdims=True)
+            np.multiply(xhat, mean_gx_xhat, out=scratch)
+            gx -= scratch
+            gx *= inv
+            x.accumulate(gx, owned=True)
 
     return _make(out_data, (x, gain, bias), backward)
 
 
 # Python float, not np.float64: a float64 scalar would promote float32 graphs.
 _GELU_C = float(np.sqrt(2.0 / np.pi))
+# Elements per chunk of an elementwise chain: a chunk and its temporaries stay in
+# the L2 cache across the chain's passes, where whole (B, L, ff) arrays do not.
+_CHUNK = 1 << 16
+
+
+def _chunks(*arrays: np.ndarray):
+    """Matching flat chunks of equal-shape C-contiguous arrays (writes go through)."""
+    flat = [a.reshape(-1) for a in arrays]
+    for lo in range(0, flat[0].size, _CHUNK):
+        yield tuple(f[lo:lo + _CHUNK] for f in flat)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Tanh-approximation GELU (np.power is slow; use explicit multiplies)."""
-    d = x.data
-    u = _GELU_C * (d + 0.044715 * d * d * d)
-    t = np.tanh(u)
-    out_data = 0.5 * d * (1.0 + t)
+    """Tanh-approximation GELU, 0.5 x (1 + t) with t = tanh(c (x + 0.044715 x^3)).
+
+    In-place ufunc passes over cache-sized chunks; cubes are explicit
+    multiplies (np.power is slow).
+    """
+    d = np.ascontiguousarray(x.data)
+    t = np.empty(d.shape, dtype=d.dtype)
+    out_data = np.empty(d.shape, dtype=d.dtype)
+    for dc, tc, oc in _chunks(d, t, out_data):
+        np.multiply(dc, 0.044715, out=tc)
+        tc *= dc
+        tc *= dc
+        tc += dc
+        tc *= _GELU_C
+        np.tanh(tc, out=tc)
+        np.multiply(dc, 0.5, out=oc)
+        oc *= tc + 1.0
 
     def backward(g):
-        du = _GELU_C * (1.0 + 0.134145 * d * d)
-        x.accumulate(g * (0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * du))
+        # 0.5 (1 + t) + 0.5 x (1 - t^2) du/dx, with du/dx = c (1 + 0.134145 x^2)
+        grad = np.empty(d.shape, dtype=d.dtype)
+        for dc, tc, gc, oc in _chunks(d, t, np.ascontiguousarray(g), grad):
+            np.multiply(tc, tc, out=oc)
+            np.subtract(1.0, oc, out=oc)
+            oc *= dc * 0.5
+            du = dc * 0.134145
+            du *= dc
+            du += 1.0
+            du *= _GELU_C
+            oc *= du
+            np.add(tc, 1.0, out=du)
+            du *= 0.5
+            oc += du
+            oc *= gc
+        x.accumulate(grad, owned=True)
 
     return _make(out_data, (x,), backward)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        x.accumulate(p * (g - (g * p).sum(axis=axis, keepdims=True)))
-
-    return _make(p, (x,), backward)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
@@ -242,21 +365,23 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> T
     same leading shape, 0 excludes a position (padding), total weight
     normalizes the mean.
     """
-    targets = np.asarray(targets)
+    targets = np.asarray(targets)[..., None]
     weights = np.asarray(weights, dtype=logits.data.dtype)
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
     logsumexp = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     logp = z - logsumexp
-    picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
+    picked = np.take_along_axis(logp, targets, axis=-1)[..., 0]
     total = weights.sum()
     if total <= 0:
         raise ValueError("cross_entropy needs at least one weighted position")
     out_data = -(picked * weights).sum() / total
 
     def backward(g):
-        p = np.exp(logp)
-        onehot = np.zeros_like(p)
-        np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
-        logits.accumulate(g * (p - onehot) * (weights[..., None] / total))
+        # (softmax - onehot(targets)) * g * weight / total
+        grad = np.exp(logp)
+        np.put_along_axis(grad, targets, np.take_along_axis(grad, targets, axis=-1) - 1.0, axis=-1)
+        grad *= g
+        grad *= (weights / total)[..., None]
+        logits.accumulate(grad, owned=True)
 
     return _make(np.asarray(out_data, dtype=logits.data.dtype), (logits,), backward)

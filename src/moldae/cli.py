@@ -295,14 +295,15 @@ def cmd_generate(args) -> int:
 
     config, params, vocab = _load_model(args)
     meta = load_meta(args.checkpoint)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     generated = generate_set(params, config, vocab, args.n, args.seed,
                              temperature=args.temperature, max_len=args.max_len,
                              checkpoint_id=Path(args.checkpoint).name,
                              length_hist=meta.get("meta.length_hist"))
     seconds = time.perf_counter() - start
+    # Only now: generate_set validates its arguments, and a failed run leaves no directory behind.
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "generated.selfies").write_text("\n".join(generated.raw) + "\n", encoding="utf-8")
     (out_dir / "generated.smiles").write_text(
         "\n".join(c or "" for c in generated.canonical) + "\n", encoding="utf-8")

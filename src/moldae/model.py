@@ -8,6 +8,10 @@ the intact sequence token by token (teacher forcing, loss over all target
 positions). Sampling runs the same decoder incrementally, one token per
 step, with per-layer keys/values kept in a DecoderCache. Everything is numpy +
 the in-repo autodiff; float32 for training, float64 for gradient-check work.
+Every projection is one fused `ad.linear` node and every attention (head
+split, scores, mask, softmax, context, head merge) one `ad.attention` node, so
+an attention block puts five nodes on the tape: the q/k/v projections, the
+attention and the output projection.
 """
 
 from __future__ import annotations
@@ -21,15 +25,6 @@ from .autodiff import Tensor
 from .tokenizer import BOS, EOS, MASK, PAD, UNK
 
 NEG_INF = -1e9
-
-
-def _linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Dense projection of (B, L, d) by (d, k) via one flat GEMM."""
-    batch, length, d = x.shape
-    flat = ad.matmul(ad.reshape(x, (batch * length, d)), w)
-    if b is not None:
-        flat = ad.add(flat, b)
-    return ad.reshape(flat, (batch, length, w.shape[1]))
 
 
 class ModelConfigError(ValueError):
@@ -128,38 +123,23 @@ def _dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     return ad.mul(x, keep)
 
 
-def _heads(params, prefix: str, x: Tensor, w: str, b: str, config: ModelConfig) -> Tensor:
-    """Project (B, L, d) through `w`/`b` and split it into heads (B, h, L, dh)."""
-    h = config.n_heads
-    proj = _linear(x, params[f"{prefix}.{w}"], params[f"{prefix}.{b}"])
-    return ad.transpose(ad.reshape(proj, (x.shape[0], x.shape[1], h, config.d_model // h)), (0, 2, 1, 3))
+def _dense(params, prefix: str, x: Tensor, name: str) -> Tensor:
+    """x through the `{prefix}.w{name}` weight and `{prefix}.b{name}` bias."""
+    return ad.linear(x, params[f"{prefix}.w{name}"], params[f"{prefix}.b{name}"])
 
 
-def _kv(params, prefix: str, x: Tensor, config: ModelConfig) -> tuple[Tensor, Tensor]:
-    return _heads(params, prefix, x, "wk", "bk", config), _heads(params, prefix, x, "wv", "bv", config)
-
-
-def _attention(params, prefix: str, q_in: Tensor, kv: tuple[Tensor, Tensor], config: ModelConfig,
+def _attention(params, prefix: str, q_in: Tensor, k: Tensor, v: Tensor, config: ModelConfig,
                bias: np.ndarray | None) -> Tensor:
-    """Multi-head attention of q_in over key/value heads `kv`, fresh or cached.
+    """Multi-head attention of q_in over projected keys/values (B, Lk, d), fresh or cached.
 
     `bias` is an additive mask broadcast to the scores (B, h, Lq, Lk).
     """
-    k, v = kv
-    q = _heads(params, prefix, q_in, "wq", "bq", config)
-    scale = float(1.0 / np.sqrt(config.d_model // config.n_heads))
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scale)
-    if bias is not None:
-        scores = ad.add(scores, bias.astype(scores.data.dtype))
-    probs = ad.softmax(scores, axis=-1)
-    ctx = ad.matmul(probs, v)
-    merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (q_in.shape[0], q_in.shape[1], config.d_model))
-    return _linear(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+    ctx = ad.attention(_dense(params, prefix, q_in, "q"), k, v, bias, config.n_heads)
+    return _dense(params, prefix, ctx, "o")
 
 
 def _ff(params, prefix: str, x: Tensor) -> Tensor:
-    hidden = ad.gelu(_linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    return _linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    return _dense(params, prefix, ad.gelu(_dense(params, prefix, x, "1")), "2")
 
 
 def _ln(params, prefix: str, x: Tensor) -> Tensor:
@@ -185,32 +165,37 @@ def _causal_bias(length: int, offset: int = 0) -> np.ndarray:
 class DecoderCache:
     """Incremental-decoding state that `decoder_forward` reads and extends.
 
-    Per decoder layer it holds the self-attention key/value heads of the
-    `offset` positions decoded so far and the cross-attention key/value heads
-    of the encoder states (projected once, on the first call), plus the
-    encoder pad bias. Gradients flow only through a single call (training);
-    keys/values concatenated on later calls are detached copies.
+    Per decoder layer it holds the self-attention keys/values (B, L, d) of the
+    `offset` positions decoded so far, in buffers preallocated to the model's
+    max_len, and the cross-attention keys/values of the encoder states
+    (projected once, on the first call), plus the encoder pad bias.
+    Self-attention keys/values read back from the buffers are detached;
+    training calls `decoder_forward` without a cache, so gradients reach
+    every projection.
     """
 
     def __init__(self):
         self.offset = 0
-        self.self_kv: list[tuple[Tensor, Tensor]] = []
+        self.self_kv: list[tuple[np.ndarray, np.ndarray]] = []
         self.cross_kv: list[tuple[Tensor, Tensor]] = []
         self.cross_bias: np.ndarray | None = None
 
-    def extend(self, layer: int, kv: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
-        """Append new self-attention key/value heads to `layer`'s; return all of them."""
-        if layer < len(self.self_kv):
-            kv = tuple(Tensor(np.concatenate((old.data, new.data), axis=2))
-                       for old, new in zip(self.self_kv[layer], kv))
-            self.self_kv[layer] = kv
-        else:
-            self.self_kv.append(kv)
-        return kv
+    def extend(self, layer: int, k: Tensor, v: Tensor, max_len: int) -> tuple[Tensor, Tensor]:
+        """Write `layer`'s new self-attention keys/values at `offset`; return those of every position."""
+        if layer == len(self.self_kv):
+            self.self_kv.append(tuple(np.empty((k.shape[0], max_len, k.shape[2]), k.dtype) for _ in range(2)))
+        end = self.offset + k.shape[1]
+        for buf, new in zip(self.self_kv[layer], (k, v)):
+            buf[:, self.offset:end] = new.data
+        return tuple(Tensor(buf[:, :end]) for buf in self.self_kv[layer])
 
     def keep(self, rows: list[int]) -> None:
         """Keep only batch rows `rows`, in that order, e.g. to drop finished samples."""
-        self.self_kv = [(Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in self.self_kv]
+        n = len(rows)
+        for kv in self.self_kv:
+            for buf in kv:
+                buf[:n, :self.offset] = buf[rows, :self.offset]
+        self.self_kv = [(k[:n], v[:n]) for k, v in self.self_kv]
         self.cross_kv = [(Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in self.cross_kv]
         self.cross_bias = self.cross_bias[rows]
 
@@ -223,8 +208,8 @@ def encoder_forward(params, config: ModelConfig, ids: np.ndarray, pad_mask: np.n
     for i in range(config.encoder_layers):
         p = f"enc.{i}"
         normed = _ln(params, f"{p}.ln1", x)
-        kv = _kv(params, f"{p}.self", normed, config)
-        attn = _attention(params, f"{p}.self", normed, kv, config, bias)
+        attn = _attention(params, f"{p}.self", normed, _dense(params, f"{p}.self", normed, "k"),
+                          _dense(params, f"{p}.self", normed, "v"), config, bias)
         x = ad.add(x, _dropout(attn, config.dropout, drop_rng))
         x = ad.add(x, _dropout(_ff(params, f"{p}.ff", _ln(params, f"{p}.ln2", x)), config.dropout, drop_rng))
     return _ln(params, "enc.ln_f", x)
@@ -237,11 +222,13 @@ def decoder_forward(params, config: ModelConfig, ids: np.ndarray, enc_states: Te
 
     `ids` holds the new tokens, at positions cache.offset onward (0 for a
     fresh cache, which is made when `cache` is None: the whole prefix in one
-    call, as in training). Every self-attention layer appends their
-    keys/values to the cache, and the cross-attention keys/values and pad
-    bias of `enc_states`/`enc_pad_mask` are computed on the cache's first
-    call and reused (not re-read) after.
+    call, as in training). Every self-attention layer writes its keys/values
+    into a caller's cache (one made here dies with the call, so it keeps
+    none), and the cross-attention keys/values and pad bias of
+    `enc_states`/`enc_pad_mask` are computed on the cache's first call and
+    reused (not re-read) after.
     """
+    keep_kv = cache is not None
     cache = DecoderCache() if cache is None else cache
     causal = _causal_bias(ids.shape[1], cache.offset)
     if cache.cross_bias is None:
@@ -249,21 +236,21 @@ def decoder_forward(params, config: ModelConfig, ids: np.ndarray, enc_states: Te
     x = _dropout(_embed_tokens(params, ids, cache.offset), config.dropout, drop_rng)
     for i in range(config.decoder_layers):
         p = f"dec.{i}"
+        s, c = f"{p}.self", f"{p}.cross"
         normed = _ln(params, f"{p}.ln1", x)
-        self_kv = cache.extend(i, _kv(params, f"{p}.self", normed, config))
+        k, v = _dense(params, s, normed, "k"), _dense(params, s, normed, "v")
+        if keep_kv:
+            k, v = cache.extend(i, k, v, config.max_len)
         if i == len(cache.cross_kv):
-            cache.cross_kv.append(_kv(params, f"{p}.cross", enc_states, config))
+            cache.cross_kv.append((_dense(params, c, enc_states, "k"), _dense(params, c, enc_states, "v")))
+        x = ad.add(x, _dropout(_attention(params, s, normed, k, v, config, causal), config.dropout, drop_rng))
         x = ad.add(x, _dropout(
-            _attention(params, f"{p}.self", normed, self_kv, config, causal),
-            config.dropout, drop_rng))
-        x = ad.add(x, _dropout(
-            _attention(params, f"{p}.cross", _ln(params, f"{p}.ln2", x), cache.cross_kv[i], config,
-                       cache.cross_bias),
+            _attention(params, c, _ln(params, f"{p}.ln2", x), *cache.cross_kv[i], config, cache.cross_bias),
             config.dropout, drop_rng))
         x = ad.add(x, _dropout(_ff(params, f"{p}.ff", _ln(params, f"{p}.ln3", x)), config.dropout, drop_rng))
     cache.offset += ids.shape[1]
     x = _ln(params, "dec.ln_f", x)
-    return _linear(x, ad.transpose(params["tok_emb"], (1, 0)))
+    return ad.linear(x, ad.transpose(params["tok_emb"], (1, 0)))
 
 
 def batch_denoise_loss(params, config: ModelConfig, x_corrupt: np.ndarray, y: np.ndarray,
@@ -288,19 +275,6 @@ def batch_denoise_loss(params, config: ModelConfig, x_corrupt: np.ndarray, y: np
     else:
         masked_acc = float("nan")
     return loss, masked_acc
-
-
-def denoise_loss(params, config: ModelConfig, pair) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and gradients for a single CorruptedPair (teacher forcing)."""
-    x = _check_ids(pair.x_corrupt, config)
-    y = _check_ids(pair.y, config)
-    pad_mask = np.ones_like(y, dtype=np.float64)
-    for p in params.values():
-        p.zero_grad()
-    loss, _ = batch_denoise_loss(params, config, x, y, pad_mask)
-    loss.backward()
-    grads = {name: p.grad.copy() for name, p in params.items()}
-    return float(loss.data), grads
 
 
 def embed(params, config: ModelConfig, ids: np.ndarray) -> np.ndarray:

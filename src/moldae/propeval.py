@@ -206,7 +206,8 @@ def train_probe(features: np.ndarray, labels: np.ndarray, task: str, lam: float,
 
     Per output: mean loss over the rows whose label is present (half squared
     error for ridge, negative log-likelihood for logistic) plus lam/2 |w|^2,
-    bias unpenalized. Ridge takes one step (the closed form), logistic is IRLS.
+    bias unpenalized. Ridge takes one step (the closed form), logistic is IRLS
+    with step halving wherever a full step would raise the objective.
     labels: (n,) or (n, k), NaN = missing. Classification needs both classes.
     """
     if features.ndim != 2 or len(features) != len(labels):
@@ -229,6 +230,12 @@ def train_probe(features: np.ndarray, labels: np.ndarray, task: str, lam: float,
     a = np.hstack([(features - mean) / std, np.ones((len(features), 1))])
     penalty = np.append(np.full(features.shape[1], lam), 0.0)
     theta = np.zeros((a.shape[1], labels.shape[1]))
+
+    def logistic_objective(th: np.ndarray, j: int) -> float:
+        z = a[present[:, j]] @ th
+        y = labels[present[:, j], j]
+        return float((np.logaddexp(0.0, z) - y * z).mean() + 0.5 * (penalty * th * th).sum())
+
     for steps in range(NEWTON_STEPS + 1):
         pred = a @ theta
         if task == "classification":
@@ -243,7 +250,16 @@ def train_probe(features: np.ndarray, labels: np.ndarray, task: str, lam: float,
         curv = present * (pred * (1.0 - pred) if task == "classification" else 1.0)
         for j in range(theta.shape[1]):
             hess = (a.T * curv[:, j]) @ a / counts[j] + np.diag(penalty)
-            theta[:, j] -= np.linalg.solve(hess, grad[:, j])
+            step = np.linalg.solve(hess, grad[:, j])
+            if task == "classification":
+                # On (nearly) separable folds a full step can overshoot, and plain IRLS
+                # then runs off until p(1-p) underflows and the Hessian is singular.
+                before = logistic_objective(theta[:, j], j)
+                for _ in range(50):
+                    if logistic_objective(theta[:, j] - step, j) <= before + 1e-12 * abs(before):
+                        break
+                    step *= 0.5
+            theta[:, j] -= step
     norms = np.linalg.norm(grad, axis=0)
     worst = int(np.argmax(norms))
     raise DatasetError(f"output {worst}: probe did not converge in {NEWTON_STEPS} Newton steps "

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from moldae.corpus import sample_corpus
+from moldae.model import batch_denoise_loss
 
 
 @pytest.fixture(scope="session")
@@ -69,3 +70,18 @@ def handwritten():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(4242)
+
+
+def _denoise_loss(params, config, pair):
+    """Loss and gradients of one CorruptedPair (teacher forcing) through batch_denoise_loss."""
+    x, y = np.asarray(pair.x_corrupt)[None], np.asarray(pair.y)[None]
+    for p in params.values():
+        p.zero_grad()
+    loss, _ = batch_denoise_loss(params, config, x, y, np.ones(y.shape))
+    loss.backward()
+    return float(loss.data), {name: p.grad.copy() for name, p in params.items()}
+
+
+@pytest.fixture(scope="session")
+def denoise_loss():
+    return _denoise_loss

@@ -21,7 +21,7 @@ from moldae.corpus import sample_corpus
 from moldae.fingerprint import fingerprint, tanimoto
 from moldae.genmetrics import GeneratedSet, build_report, generate_set
 from moldae.graph import validate
-from moldae.model import ModelConfig, batch_denoise_loss, denoise_loss, init_model
+from moldae.model import ModelConfig, batch_denoise_loss, init_model
 from moldae.propeval import LAMBDA_GRID, PropertyDataset, rmse, roc_auc, split, train_probe
 from moldae.smiles import parse_smiles
 from moldae.tokenizer import BOS, EOS, MASK, CorruptedPair, build_vocab, encode_ids
@@ -136,7 +136,7 @@ GRAD_CONFIG = ModelConfig(vocab_size=12, d_model=8, n_heads=2, encoder_layers=1,
                           decoder_layers=1, ff_width=12, max_len=10)
 
 
-def test_criterion_4_gradient_correctness():
+def test_criterion_4_gradient_correctness(denoise_loss):
     """Every parameter coordinate vs central finite differences (f64, step 1e-5).
 
     Relative error < 1e-4 with a 1e-6 denominator floor: the difference
@@ -179,7 +179,7 @@ def test_criterion_4_gradient_correctness():
               f"(worst {worst:.2e})")
 
 
-def test_criterion_5_loss_floor():
+def test_criterion_5_loss_floor(denoise_loss):
     params = init_model(GRAD_CONFIG, np.random.default_rng(1), dtype=np.float64)
     params["tok_emb"].data[...] = 0.0  # tied output projection zeroed
     y = np.array([BOS, 5, 6, 7, EOS])

@@ -63,15 +63,69 @@ def test_gelu():
     fd_check(lambda x: total(ad.gelu(x)), (4, 3))
 
 
-def test_softmax():
-    fd_check(lambda x: total(ad.mul(ad.softmax(x), np.arange(8.0).reshape(2, 4))), (2, 4))
+def weighted_total(x, seed=1):
+    """Scalar sum of x with fixed random weights, so no output element can hide an error."""
+    return total(ad.mul(x, np.random.default_rng(seed).normal(size=x.shape)))
 
 
-def test_softmax_rows_sum_to_one():
-    x = Tensor(np.random.default_rng(0).normal(size=(5, 9)) * 10)
-    p = ad.softmax(x).data
-    assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-12)
-    assert (p >= 0).all()
+def test_linear():
+    fd_check(lambda x, w, b: weighted_total(ad.linear(x, w, b)), (5, 3), (3, 4), (4,))
+    fd_check(lambda x, w: weighted_total(ad.linear(x, w)), (5, 3), (3, 4))
+    fd_check(lambda x, w, b: weighted_total(ad.linear(x, w, b)), (2, 3, 4), (4, 5), (5,))
+    fd_check(lambda x, w: weighted_total(ad.linear(x, w)), (2, 3, 4), (4, 5))
+
+
+def test_linear_transposed_view_weight():
+    """The tied output projection: the weight is a transposed view of an embedding table."""
+    fd_check(lambda x, table: weighted_total(ad.linear(x, ad.transpose(table, (1, 0)))), (2, 3, 4), (6, 4))
+
+
+def test_attention_causal_bias():
+    # 3 heads of width 2; queries at positions 1..3 over keys at 0..3 (Lq != Lk).
+    bias = np.triu(np.full((3, 4), -1e9), k=2)[None, None]
+    fd_check(lambda q, k, v: weighted_total(ad.attention(q, k, v, bias, 3)), (2, 3, 6), (2, 4, 6), (2, 4, 6))
+
+
+def test_attention_key_padding_bias():
+    pad = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=float)
+    bias = (1.0 - pad[:, None, None, :]) * -1e9
+    fd_check(lambda q, k, v: weighted_total(ad.attention(q, k, v, bias, 2)), (2, 3, 4), (2, 5, 4), (2, 5, 4))
+    # Padded keys get no weight: their values do not reach the output.
+    rng = np.random.default_rng(3)
+    q, k, v = (Tensor(rng.normal(size=s)) for s in [(2, 3, 4), (2, 5, 4), (2, 5, 4)])
+    out = ad.attention(q, k, v, bias, 2).data
+    v.data[1, 3:] += 100.0
+    assert np.array_equal(ad.attention(q, k, v, bias, 2).data, out)
+
+
+def test_attention_no_bias():
+    fd_check(lambda q, k, v: weighted_total(ad.attention(q, k, v, None, 1)), (1, 2, 3), (1, 3, 3), (1, 3, 3))
+
+
+def test_attention_probabilities_sum_to_one():
+    """Each query's weights over the keys sum to one: if every value row is c, the output is c."""
+    rng = np.random.default_rng(0)
+    q, k = Tensor(rng.normal(size=(2, 3, 6)) * 10), Tensor(rng.normal(size=(2, 5, 6)) * 10)
+    c = rng.normal(size=6)
+    out = ad.attention(q, k, Tensor(np.tile(c, (2, 5, 1))), None, 3).data
+    assert np.allclose(out, np.tile(c, (2, 3, 1)), atol=1e-12)
+
+
+@pytest.mark.parametrize("x1_first", [True, False])
+def test_shared_gradient_is_not_aliased(x1_first):
+    """A diamond: add hands one gradient to x1 and x2, and x1 also gets a second term.
+
+    If x1 and x2 shared that gradient array, the second term's += would leak
+    into x2's gradient. Both orders of the final sum, since the order in which
+    backward reaches x1's two terms decides whether a shared array shows.
+    """
+    c = np.random.default_rng(2).normal(size=(3, 4))
+
+    def build(x1, x2):
+        terms = [ad.mul(ad.add(x1, x2), c), ad.mul(x1, x1)]
+        return total(ad.add(*(terms if x1_first else terms[::-1])))
+
+    fd_check(build, (3, 4), (3, 4))
 
 
 def test_cross_entropy_gradient():

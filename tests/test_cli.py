@@ -350,6 +350,15 @@ def test_failures_exit_with_documented_code(case, trained, tmp_path, capsys):
     assert message in err
 
 
+@pytest.mark.parametrize("bad", [["--max-len", "1"], ["--temperature", "0"]])
+def test_failed_generate_leaves_no_out_dir(bad, trained, tmp_path, capsys):
+    root, run, _ = trained
+    out_dir = tmp_path / "gen"
+    assert main(_generate(str(run / "checkpoint_final.bin"), str(run / "vocab.txt"), str(out_dir)) + bad) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["generate", "--help"]) == 0

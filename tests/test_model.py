@@ -1,6 +1,7 @@
 """Model contracts: shapes, masking, causality, losses, sampling, gradients."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from moldae import autodiff as ad
 from moldae.autodiff import Tensor
 from moldae.model import (
     DecoderCache, ModelConfig, ModelConfigError, _sample_from_logits, batch_denoise_loss,
-    denoise_loss, embed, encoder_forward, decoder_forward, init_model, sample_batch,
+    embed, encoder_forward, decoder_forward, init_model, sample_batch,
 )
 from moldae.tokenizer import BOS, EOS, MASK, PAD, CorruptedPair
 
@@ -220,7 +221,7 @@ def test_greedy_chain_matches_teacher_forced_argmax():
     assert teacher == prefix[1:]
 
 
-def test_loss_floor_uniform_softmax():
+def test_loss_floor_uniform_softmax(denoise_loss):
     params = toy_params(1, dtype=np.float64)
     params["tok_emb"].data[...] = 0.0  # tied output projection zeroed
     y = np.array([BOS, 5, 6, 7, EOS])
@@ -229,7 +230,7 @@ def test_loss_floor_uniform_softmax():
     assert abs(loss - math.log(TOY.vocab_size)) < 1e-6
 
 
-def test_denoise_loss_gradients_match_finite_differences():
+def test_denoise_loss_gradients_match_finite_differences(denoise_loss):
     params = toy_params(2, dtype=np.float64)
     y = np.array([BOS, 5, 6, 7, 8, EOS])
     x = y.copy()
@@ -251,6 +252,32 @@ def test_denoise_loss_gradients_match_finite_differences():
             fd = (up - dn) / (2 * eps)
             denom = max(abs(fd), abs(gflat[j]), 1e-6)
             assert abs(gflat[j] - fd) / denom < 1e-4, (name, j)
+
+
+def test_attention_block_is_five_tape_nodes():
+    """One batch_denoise_loss on TOY puts 5 nodes per attention block on the tape.
+
+    q/k/v projections, attention and output projection: every projection is
+    one `linear` node and every attention one `attention` node. TOY has three
+    attention blocks (encoder self, decoder self and cross). A float32 graph
+    stays float32 in every value and gradient.
+    """
+    params = toy_params(dtype=np.float32)
+    y = np.array([[BOS, 5, 6, 7, EOS]])
+    loss, _ = batch_denoise_loss(params, TOY, y.copy(), y, np.ones(y.shape))
+    loss.backward()
+    ops, seen, stack = Counter(), set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            assert node.data.dtype == node.grad.dtype == np.float32
+            if node._backward is not None:
+                ops[node._backward.__qualname__.split(".")[0]] += 1
+            stack.extend(node._parents)
+    # linear: 3 blocks x (q, k, v, output) + 2 feed-forward layers x 2 + the tied output projection.
+    assert ops == {"attention": 3, "linear": 17, "layer_norm": 7, "gelu": 2, "add": 7,
+                   "gather_rows": 4, "transpose": 1, "cross_entropy": 1}
 
 
 def test_overfit_single_example():

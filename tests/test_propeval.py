@@ -1,6 +1,9 @@
 """Property-prediction harness: metrics oracles, probe behavior, split hygiene."""
 
+import importlib.util
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,10 @@ from moldae.propeval import (
     DatasetError, PropertyDataset, TaskManifest, evaluate_dataset, featurize,
     load_dataset, mean_roc_auc, rmse, roc_auc, split, train_probe,
 )
+from moldae.tokenizer import load_vocab
+from moldae.training import load_params
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def brute_force_auc(scores, labels):
@@ -164,6 +171,30 @@ def test_train_probe_logistic_converges_on_separable_data():
     assert ((probe.scores(x)[:, 0] > 0.5) == y).all()
     assert np.linalg.norm(_objective_gradient(probe, x, y)) < 1e-6
     assert 1 < probe.steps <= 20 and probe.grad_norm < 1e-6
+
+
+def test_logistic_probe_halves_overshooting_newton_steps():
+    """A real fold on which full Newton steps overshoot at lambda=1e-3.
+
+    Round 53 of the benchmark's embed-probe seed 41: fixture-model embeddings
+    of 120 probe-pool molecules, "contains N" labels. Undamped IRLS raised the
+    objective from its fifth step on, ran off until p(1-p) underflowed and
+    died in `np.linalg.solve` on a singular Hessian.
+    """
+    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
+    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(inputs)
+    config, params = load_params(inputs.FIXTURE / inputs.MODEL_FILE)
+    vocab = load_vocab(inputs.FIXTURE / inputs.VOCAB_FILE)
+    rnd = inputs.probe_round(41, 53)
+    dataset = PropertyDataset("has_n", "classification", rnd.smiles, np.asarray(rnd.has_n).reshape(-1, 1))
+    features, kept, _ = featurize(dataset, params, config, vocab)
+    assert len(kept) == len(dataset)
+    train = split(dataset, seed=rnd.split_seed).indices("train")
+    probe = train_probe(features[train], dataset.labels[train], "classification", lam=1e-3)
+    assert probe.grad_norm < 1e-6 and probe.steps < 20
+    result = evaluate_dataset(dataset, params, config, vocab, seed=rnd.split_seed)
+    assert 0.0 <= result.metric <= 1.0
 
 
 def test_train_probe_unreachable_tolerance_raises():

@@ -230,7 +230,7 @@ def _resolved_model_config(config: dict[str, str], vocab_size: int):
 def cmd_train(args) -> int:
     from .selfies import split_selfies
     from .tokenizer import VocabularyError, build_vocab, save_vocab
-    from .training import TrainSettings, train
+    from .training import TrainSettings, load_token_corpus, train
 
     config = load_config(args.config, args.set)
     if args.f64:
@@ -258,6 +258,7 @@ def cmd_train(args) -> int:
         seed=_coerce(config, "seed", 0, int),
         dtype=_coerce(config, "dtype", "float32", str),
     )
+    load_token_corpus(args.corpus, vocab, model_config.max_len)  # raises before anything is written
 
     out_dir.mkdir(parents=True, exist_ok=True)
     save_vocab(vocab, out_dir / "vocab.txt")

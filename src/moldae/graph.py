@@ -9,6 +9,7 @@ integer order 1..3. Implicit hydrogens are derived on demand, never stored
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .elements import MAX_VALENCE, SUPPORTED_ELEMENTS, implicit_fill
 
@@ -42,8 +43,16 @@ class MolecularGraph:
     def __len__(self) -> int:
         return len(self.atoms)
 
+    @cached_property
+    def _bond_sums(self) -> list[int]:
+        sums = [0] * len(self.atoms)
+        for a, b, o in self.bonds:
+            sums[a] += o
+            sums[b] += o
+        return sums
+
     def bond_sum(self, idx: int) -> int:
-        return sum(o for a, b, o in self.bonds if a == idx or b == idx)
+        return self._bond_sums[idx]
 
     def total_hydrogens(self, idx: int) -> int:
         atom = self.atoms[idx]

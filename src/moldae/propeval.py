@@ -22,7 +22,7 @@ from . import selfies
 from .model import ModelConfig, embed
 from .smiles import SmilesParseError, parse_smiles
 from .tokenizer import Vocabulary, encode_ids
-from .graph import GraphError
+from .graph import GraphError, MolecularGraph
 
 LAMBDA_GRID = (1e-3, 1e-2, 0.1, 1.0, 10.0)
 NEWTON_STEPS = 50  # cap; ridge needs 1, logistic regression about 10
@@ -69,6 +69,7 @@ class PropertyDataset:
     smiles: tuple[str, ...]
     labels: np.ndarray  # (n, n_labels), NaN marks missing
     dropped_invalid: int = 0
+    graphs: tuple[MolecularGraph, ...] = ()  # the parsed rows, when the loader kept them
 
     def __len__(self) -> int:
         return len(self.smiles)
@@ -84,12 +85,13 @@ def load_dataset(path: str | Path, manifest: TaskManifest) -> PropertyDataset:
         if missing:
             raise DatasetError(f"{path}: missing columns {missing}")
         smiles: list[str] = []
+        graphs: list[MolecularGraph] = []
         rows: list[list[float]] = []
         dropped = 0
         for record in reader:
             text = (record[manifest.smiles_column] or "").strip()
             try:
-                parse_smiles(text)
+                graph = parse_smiles(text)
             except (SmilesParseError, GraphError):
                 dropped += 1
                 continue
@@ -105,6 +107,7 @@ def load_dataset(path: str | Path, manifest: TaskManifest) -> PropertyDataset:
                 dropped += 1
                 continue
             smiles.append(text)
+            graphs.append(graph)
             rows.append(values)
     if not rows:
         raise DatasetError(f"{path}: no usable rows")
@@ -113,7 +116,8 @@ def load_dataset(path: str | Path, manifest: TaskManifest) -> PropertyDataset:
         present = labels[~np.isnan(labels)]
         if not np.isin(present, (0.0, 1.0)).all():
             raise DatasetError(f"{path}: classification labels must be 0/1")
-    return PropertyDataset(manifest.name or Path(path).stem, manifest.task, tuple(smiles), labels, dropped)
+    return PropertyDataset(manifest.name or Path(path).stem, manifest.task, tuple(smiles), labels, dropped,
+                           tuple(graphs))
 
 
 @dataclass(frozen=True)
@@ -160,17 +164,27 @@ def embed_smiles(text: str, params, config: ModelConfig, vocab: Vocabulary) -> n
     the reason: a parse, valence or alphabet error, a sequence over max_len,
     or a molecule too deep to process (RecursionError).
     """
-    return embed(params, config, encode_ids(selfies.encode(parse_smiles(text)), vocab))
+    return embed_graph(parse_smiles(text), params, config, vocab)
+
+
+def embed_graph(graph: MolecularGraph, params, config: ModelConfig, vocab: Vocabulary) -> np.ndarray:
+    """Embedding row of one parsed molecule; raises one of REJECTS as embed_smiles does."""
+    return embed(params, config, encode_ids(selfies.encode(graph), vocab))
 
 
 def featurize(dataset: PropertyDataset, params, config: ModelConfig, vocab: Vocabulary
               ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Embed every record; returns (features, row indices kept, dropped count)."""
+    """Embed every record; returns (features, row indices kept, dropped count).
+
+    Rows the loader parsed are embedded from their graphs; otherwise each
+    SMILES text is parsed here.
+    """
     rows: list[np.ndarray] = []
     kept: list[int] = []
     for i, text in enumerate(dataset.smiles):
         try:
-            rows.append(embed_smiles(text, params, config, vocab))
+            graph = dataset.graphs[i] if dataset.graphs else parse_smiles(text)
+            rows.append(embed_graph(graph, params, config, vocab))
         except REJECTS:
             continue
         kept.append(i)

@@ -74,7 +74,10 @@ class TrainLog:
 
 
 def load_token_corpus(path: str | Path, vocab: Vocabulary, max_len: int) -> tuple[list[np.ndarray], int]:
-    """Read one-SELFIES-per-line, encode to ids, skip over-length sequences."""
+    """Read one-SELFIES-per-line, encode to ids, skip over-length sequences.
+
+    Raises ValueError when no line is short enough to train on.
+    """
     sequences: list[np.ndarray] = []
     skipped = 0
     with open(path, encoding="utf-8") as fh:
@@ -87,6 +90,8 @@ def load_token_corpus(path: str | Path, vocab: Vocabulary, max_len: int) -> tupl
                 skipped += 1
                 continue
             sequences.append(ids)
+    if not sequences:
+        raise ValueError(f"{path}: no usable sequences (skipped {skipped} over-length)")
     return sequences, skipped
 
 
@@ -147,8 +152,6 @@ def train(
     config.validate()
     dtype = np.float64 if settings.dtype == "float64" else np.float32
     sequences, skipped = load_token_corpus(corpus_path, vocab, config.max_len)
-    if not sequences:
-        raise ValueError(f"{corpus_path}: no usable sequences (skipped {skipped} over-length)")
 
     log = TrainLog(skipped_too_long=skipped)
     start_step = 0

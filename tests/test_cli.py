@@ -359,6 +359,39 @@ def test_failed_generate_leaves_no_out_dir(bad, trained, tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_failed_train_leaves_no_out_dir(trained, tmp_path, capsys):
+    root, run, _ = trained
+    build, code, _ = FAILURES["train-only-line-over-length"]
+    assert main(build(run, root, tmp_path)) == code == 1
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
+def test_eval_prop_parses_each_row_once(trained, tmp_path, monkeypatch):
+    import dataclasses
+
+    from moldae import propeval
+    from moldae.tokenizer import load_vocab
+    from moldae.training import load_params
+
+    root, run, _ = trained
+    ckpt, vocab = str(run / "checkpoint_final.bin"), str(run / "vocab.txt")
+    rows = [f"{s},{len(s)}" for s in (root / "corpus.smiles").read_text().splitlines()[:60]]
+    rows += ["not_a_molecule,1.0", "CCO,"]  # dropped: unparsable, and no label
+    calls = []
+    parse = propeval.parse_smiles
+    monkeypatch.setattr(propeval, "parse_smiles", lambda text: calls.append(text) or parse(text))
+    assert main(_eval_prop(ckpt, vocab, root, tmp_path, rows=rows)) == 0
+    assert len(calls) == len(rows) == 62
+    # Embedding from the loader's graphs gives the result parsing each text would.
+    manifest = propeval.TaskManifest.load(tmp_path / "task.manifest")
+    unparsed = dataclasses.replace(propeval.load_dataset(tmp_path / "data.csv", manifest), graphs=())
+    config, params = load_params(ckpt)
+    result = propeval.evaluate_dataset(unparsed, params, config, load_vocab(vocab),
+                                       checkpoint_id=Path(ckpt).name)
+    assert result.to_json() == (tmp_path / "prop" / "property_result.json").read_text()
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["generate", "--help"]) == 0

@@ -1,10 +1,17 @@
 """Molecular graph invariants, validation, and the brute-force isomorphism oracle."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from moldae.canon import canonicalize
+from moldae.canon import _dense, _initial_ranks, _refine, _serialize, canonicalize
+from moldae.corpus import sample_corpus
 from moldae.graph import Atom, GraphError, MolecularGraph, ValenceError, permute, validate
 from moldae.smiles import parse_smiles
 
@@ -125,3 +132,114 @@ def test_canonical_equality_matches_brute_force_on_random_pairs(rng):
         p = permute(g, list(rng.permutation(len(g))))
         assert brute_force_isomorphic(g, p)
         assert canonicalize(p) == canonicalize(g)
+
+
+def exhaustive_canonicalize(graph: MolecularGraph) -> str:
+    """Reference: the smallest string over every leaf of the unpruned search tree."""
+    adj = graph.neighbors()
+    best: list[str | None] = [None]
+
+    def descend(rank: list[int]) -> None:
+        rank = _refine(rank, adj)
+        counts: dict[int, int] = {}
+        for r in rank:
+            counts[r] = counts.get(r, 0) + 1
+        ambiguous = sorted(r for r, c in counts.items() if c > 1)
+        if not ambiguous:
+            s = _serialize(graph, rank)
+            if best[0] is None or s < best[0]:
+                best[0] = s
+            return
+        for m in [i for i, r in enumerate(rank) if r == ambiguous[0]]:
+            child = [2 * r + 1 for r in rank]
+            child[m] -= 1
+            descend(_dense(child))
+
+    descend(_initial_ranks(graph, adj))
+    assert best[0] is not None
+    return best[0]
+
+
+# R3C-X with R all tert-butyl or all CF3: the deep, symmetric search trees.
+_R_GROUPS = ("C(C)(C)C", "C(F)(F)F")
+_X_GROUPS = ("", "O", "N", "Cl", "Br", "S", "C", "CC", "OC", "C#N", "C=O", "F", "I",
+             "CO", "CCl", "CBr", "SC", "CF", "OCC")
+R3CX_SHAPES = tuple(
+    f"C({r})({r})({r}){x}" if x else f"C({r})({r}){r}" for r in _R_GROUPS for x in _X_GROUPS
+)
+
+
+def _regular_carbon_graph(rng, n: int, degree: int) -> MolecularGraph:
+    """A random connected degree-regular carbon graph with single bonds.
+
+    Refinement cannot split its atoms, and in most such graphs atoms that
+    refinement leaves equal are not automorphic, so unequal leaves appear
+    below equal-looking siblings: pruning with a map that is not an
+    automorphism loses the smallest leaf here.
+    """
+    while True:
+        stubs = [v for v in range(n) for _ in range(degree)]
+        rng.shuffle(stubs)
+        pairs = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2]) if a != b}
+        if len(pairs) < n * degree // 2:
+            continue
+        graph = MolecularGraph(tuple(Atom("C") for _ in range(n)), tuple((a, b, 1) for a, b in sorted(pairs)))
+        try:
+            return validate(graph)
+        except GraphError:
+            continue
+
+
+def test_pruned_search_equals_exhaustive_search():
+    rng = np.random.default_rng(7)
+    graphs = [parse_smiles(s) for s in sample_corpus(500, seed=17)]
+    graphs += [parse_smiles(s) for s in R3CX_SHAPES]
+    graphs += [_regular_carbon_graph(rng, int(n), int(d))
+               for n, d in zip(rng.choice([8, 10, 12, 14], 24), rng.choice([3, 4], 24))]
+    for graph in graphs:
+        expected = exhaustive_canonicalize(graph)
+        assert canonicalize(graph) == expected, expected
+        for _ in range(3):
+            relabeled = permute(graph, list(rng.permutation(len(graph))))
+            assert canonicalize(relabeled) == expected, expected
+
+
+# Each took seconds to minutes with the exhaustive search (over 290 s for the
+# last), so each runs in a child process that the test can time out.
+_BLOWUP_MOLECULES = {
+    "tetra-tert-butylmethane": "CC(C)(C)C(C(C)(C)C)(C(C)(C)C)C(C)(C)C",
+    "tetrakis(trifluoromethyl)methane": "FC(F)(F)C(C(F)(F)F)(C(F)(F)F)C(F)(F)F",
+    "hexakis(trifluoromethyl)ethane": "FC(F)(F)C(C(F)(F)F)(C(F)(F)F)C(C(F)(F)F)(C(F)(F)F)C(F)(F)F",
+}
+
+_TIME_CANONICALIZE = """
+import json, sys, time
+import numpy as np
+from moldae.canon import canonicalize
+from moldae.graph import permute
+from moldae.smiles import parse_smiles
+graph = parse_smiles(sys.argv[1])
+copy = permute(graph, list(np.random.default_rng(3).permutation(len(graph))))
+out = []
+for g in (graph, copy):
+    start = time.perf_counter()
+    text = canonicalize(g)
+    out.append([text, time.perf_counter() - start])
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("name", sorted(_BLOWUP_MOLECULES))
+def test_symmetric_molecule_canonicalizes_within_a_second(name):
+    import moldae
+
+    env = dict(os.environ, PYTHONPATH=str(Path(moldae.__file__).parents[1]))
+    try:
+        proc = subprocess.run([sys.executable, "-c", _TIME_CANONICALIZE, _BLOWUP_MOLECULES[name]],
+                              env=env, capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{name}: canonicalize ran past 60 s")
+    assert proc.returncode == 0, proc.stderr
+    (text, seconds), (copy_text, copy_seconds) = json.loads(proc.stdout)
+    assert text == copy_text
+    assert seconds < 1.0 and copy_seconds < 1.0, (seconds, copy_seconds)

@@ -11,8 +11,9 @@ exception classes match wins, and main prints `error: <message>` to stderr:
      (missing or invalid flag), for which argparse prints the usage line
   2  I/O and artifacts: OSError (missing or unwritable file or directory),
      CheckpointError (corrupt or truncated checkpoint, --resume from one
-     without optimizer state), VocabularyError (malformed vocabulary, one
-     that does not match the checkpoint, empty training corpus)
+     without optimizer state or of another model config), VocabularyError
+     (malformed vocabulary, one that does not match the checkpoint, empty
+     training corpus)
   1  domain: TrainingDivergedError, RecursionError, ValueError (every other
      moldae error: bad molecule, grammar or metric input, generate
      --max-len below 2)
@@ -153,14 +154,18 @@ def _per_line(args, convert, config: dict[str, str], summary: str) -> int:
 
     Blank lines pass through. A line whose conversion raises one of
     propeval.REJECTS becomes a blank output line and a `<lineno>\t<reason>`
-    row of <output>.rejects. The resolved command line (with `config`) goes
-    to <output>.config.txt, and `summary` is printed with the counts. Exit 0,
+    row of <output>.rejects; <output>.rejects.json counts the rejects by
+    exception type. The resolved command line (with `config`) goes to
+    <output>.config.txt, and `summary` is printed with the counts. Exit 0,
     or 1 when a line was rejected and --lenient is not given.
     """
+    from collections import Counter
+
     from .propeval import REJECTS
 
     out_path = Path(args.output)
     rejects: list[str] = []
+    by_type: Counter[str] = Counter()
     out_lines: list[str] = []
     with open(args.input, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -169,10 +174,13 @@ def _per_line(args, convert, config: dict[str, str], summary: str) -> int:
                 out_lines.append(convert(text) if text else "")
             except REJECTS as exc:
                 rejects.append(f"{lineno}\t{exc}")
+                by_type[type(exc).__name__] += 1
                 out_lines.append("")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text("".join(f"{line}\n" for line in out_lines), encoding="utf-8")
     Path(str(out_path) + ".rejects").write_text("".join(f"{r}\n" for r in rejects), encoding="utf-8")
+    counts = {"lines": len(out_lines), "rejected": len(rejects), "by_type": dict(sorted(by_type.items()))}
+    Path(str(out_path) + ".rejects.json").write_text(json.dumps(counts, indent=2) + "\n", encoding="utf-8")
     echo_config({"command": args.command, "input": args.input, "output": args.output,
                  "lenient": str(args.lenient).lower(), **config}, Path(str(out_path) + ".config.txt"))
     print(summary.format(kept=len(out_lines) - len(rejects), total=len(out_lines), rejected=len(rejects)))
@@ -230,7 +238,7 @@ def _resolved_model_config(config: dict[str, str], vocab_size: int):
 def cmd_train(args) -> int:
     from .selfies import split_selfies
     from .tokenizer import VocabularyError, build_vocab, save_vocab
-    from .training import TrainSettings, load_token_corpus, train
+    from .training import TrainSettings, load_token_corpus, resume_tensors, train
 
     config = load_config(args.config, args.set)
     if args.f64:
@@ -258,7 +266,9 @@ def cmd_train(args) -> int:
         seed=_coerce(config, "seed", 0, int),
         dtype=_coerce(config, "dtype", "float32", str),
     )
-    load_token_corpus(args.corpus, vocab, model_config.max_len)  # raises before anything is written
+    # Both raise before anything is written.
+    load_token_corpus(args.corpus, vocab, model_config.max_len)
+    resume = resume_tensors(args.resume, model_config) if args.resume else None
 
     out_dir.mkdir(parents=True, exist_ok=True)
     save_vocab(vocab, out_dir / "vocab.txt")
@@ -269,7 +279,7 @@ def cmd_train(args) -> int:
     }.items()}
     echo_config(resolved, out_dir / "config_resolved.txt")
     _, log = train(args.corpus, vocab, model_config, settings,
-                   out_dir=out_dir, resume_from=args.resume)
+                   out_dir=out_dir, resume_from=resume)
     last = log.steps[-1] if log.steps else None
     if last is not None:
         print(f"trained {len(log.steps)} steps; final loss {last.loss:.4f}, "

@@ -105,7 +105,7 @@ def draw_source_length(length_hist: np.ndarray, rng: np.random.Generator) -> int
     total = hist.sum()
     if total <= 0:
         raise MetricsError("length histogram is empty")
-    return _draw(hist / total, rng)
+    return int(_draw((hist / total)[None], [rng])[0])
 
 
 def generate_set(params, config: ModelConfig, vocab: Vocabulary, n: int, seed: int,

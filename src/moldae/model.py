@@ -6,7 +6,9 @@ The encoder attends bidirectionally over the corrupted sequence; the decoder
 runs causal self-attention plus cross-attention and is trained to reproduce
 the intact sequence token by token (teacher forcing, loss over all target
 positions). Sampling runs the same decoder incrementally, one token per
-step, with per-layer keys/values kept in a DecoderCache. Everything is numpy +
+step, with per-layer keys/values kept in a DecoderCache; the encoder and the
+cross-attention keys/values run once per distinct source, and each step draws
+the next token of every live row in one array pass. Everything is numpy +
 the in-repo autodiff; float32 for training, float64 for gradient-check work.
 Every projection is one fused `ad.linear` node and every attention (head
 split, scores, mask, softmax, context, head merge) one `ad.attention` node, so
@@ -169,12 +171,17 @@ class DecoderCache:
     `offset` positions decoded so far, in buffers preallocated to the model's
     max_len, and the cross-attention keys/values of the encoder states
     (projected once, on the first call), plus the encoder pad bias.
-    Self-attention keys/values read back from the buffers are detached;
-    training calls `decoder_forward` without a cache, so gradients reach
-    every projection.
+    `rows`, when given, maps each batch row to its row of the encoder states,
+    so rows that share a source share one encoding: the cross keys/values and
+    the pad bias are projected from the distinct states and gathered to the
+    batch rows once, when first computed. Keys/values read back from the
+    cache and gathered ones are detached, so a cache serves inference under
+    `no_grad`; training calls `decoder_forward` without one, so gradients
+    reach every projection.
     """
 
-    def __init__(self):
+    def __init__(self, rows: np.ndarray | None = None):
+        self.rows = rows
         self.offset = 0
         self.self_kv: list[tuple[np.ndarray, np.ndarray]] = []
         self.cross_kv: list[tuple[Tensor, Tensor]] = []
@@ -189,7 +196,15 @@ class DecoderCache:
             buf[:, self.offset:end] = new.data
         return tuple(Tensor(buf[:, :end]) for buf in self.self_kv[layer])
 
-    def keep(self, rows: list[int]) -> None:
+    def add_cross(self, k: Tensor, v: Tensor, pad_mask: np.ndarray) -> None:
+        """Keep the next layer's cross-attention keys/values (and, once, the pad bias) at the batch rows."""
+        if self.rows is not None:
+            k, v, pad_mask = Tensor(k.data[self.rows]), Tensor(v.data[self.rows]), pad_mask[self.rows]
+        self.cross_kv.append((k, v))
+        if self.cross_bias is None:
+            self.cross_bias = _pad_bias(pad_mask)
+
+    def keep(self, rows: np.ndarray) -> None:
         """Keep only batch rows `rows`, in that order, e.g. to drop finished samples."""
         n = len(rows)
         for kv in self.self_kv:
@@ -226,13 +241,12 @@ def decoder_forward(params, config: ModelConfig, ids: np.ndarray, enc_states: Te
     into a caller's cache (one made here dies with the call, so it keeps
     none), and the cross-attention keys/values and pad bias of
     `enc_states`/`enc_pad_mask` are computed on the cache's first call and
-    reused (not re-read) after.
+    reused (not re-read) after; a cache with a row map gathers them from the
+    distinct sources in `enc_states` to its batch rows.
     """
     keep_kv = cache is not None
     cache = DecoderCache() if cache is None else cache
     causal = _causal_bias(ids.shape[1], cache.offset)
-    if cache.cross_bias is None:
-        cache.cross_bias = _pad_bias(enc_pad_mask)
     x = _dropout(_embed_tokens(params, ids, cache.offset), config.dropout, drop_rng)
     for i in range(config.decoder_layers):
         p = f"dec.{i}"
@@ -242,7 +256,8 @@ def decoder_forward(params, config: ModelConfig, ids: np.ndarray, enc_states: Te
         if keep_kv:
             k, v = cache.extend(i, k, v, config.max_len)
         if i == len(cache.cross_kv):
-            cache.cross_kv.append((_dense(params, c, enc_states, "k"), _dense(params, c, enc_states, "v")))
+            cache.add_cross(_dense(params, c, enc_states, "k"), _dense(params, c, enc_states, "v"),
+                            enc_pad_mask)
         x = ad.add(x, _dropout(_attention(params, s, normed, k, v, config, causal), config.dropout, drop_rng))
         x = ad.add(x, _dropout(
             _attention(params, c, _ln(params, f"{p}.ln2", x), *cache.cross_kv[i], config, cache.cross_bias),
@@ -302,22 +317,28 @@ def _source_ids(source_length: int | None, config: ModelConfig) -> np.ndarray:
     return np.array([BOS] + [MASK] * source_length + [EOS], dtype=np.int64)
 
 
-def _sample_from_logits(logits: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
+def _sample_rows(logits: np.ndarray, temperature: float, rngs: list[np.random.Generator]) -> np.ndarray:
+    """One id per row of `logits` (R, V): a float64 softmax at `temperature`, then `_draw`."""
     z = logits.astype(np.float64) / temperature
-    z -= z.max()
+    z -= z.max(axis=-1, keepdims=True)
     p = np.exp(z)
-    p /= p.sum()
-    return _draw(p, rng)
+    p /= p.sum(axis=-1, keepdims=True)
+    return _draw(p, rngs)
 
 
-def _draw(p: np.ndarray, rng: np.random.Generator) -> int:
-    """Index i with probability p[i], by inverse CDF with one uniform from `rng`.
+def _draw(p: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
+    """Index i of each row r of p (R, V) with probability p[r, i], by inverse CDF.
 
-    The float cumulative sum can end below 1, so a uniform at or above its
-    last value falls back to the last index with positive mass, never len(p).
+    Row r takes one uniform from `rngs[r]`. The float cumulative sum can end
+    below 1, so a uniform at or above a row's last value falls back to the
+    row's last index with positive mass, never V.
     """
-    i = int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
-    return i if i < len(p) else int(np.flatnonzero(p)[-1])
+    u = np.array([rng.random() for rng in rngs])
+    idx = (np.cumsum(p, axis=-1) <= u[:, None]).sum(axis=-1)
+    over = idx == p.shape[-1]
+    if over.any():
+        idx[over] = p.shape[-1] - 1 - (p[over, ::-1] > 0).argmax(axis=-1)
+    return idx
 
 
 def sample_batch(params, config: ModelConfig, rngs: list[np.random.Generator],
@@ -330,6 +351,12 @@ def sample_batch(params, config: ModelConfig, rngs: list[np.random.Generator],
     total ids, and temperature scales logits before sampling. Each step draws
     one uniform per sequence from that sequence's own rng, so a sequence comes
     out the same in any batch, alone included.
+
+    Rows with equal sources have equal encoder states, so the encoder runs
+    once per distinct source (at the batch's padded width), and the decoder's
+    cross-attention keys/values are projected from those states and gathered
+    to the batch rows once. Decode steps run at full batch width, and each
+    step samples every live row in one array pass.
     """
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
@@ -342,26 +369,25 @@ def sample_batch(params, config: ModelConfig, rngs: list[np.random.Generator],
     sources = [_source_ids(k, config) for k in source_lengths]
     width = max(len(s) for s in sources)
     enc_ids = np.full((n, width), PAD, dtype=np.int64)
-    enc_mask = np.zeros((n, width), dtype=np.float64)
     for i, s in enumerate(sources):
         enc_ids[i, : len(s)] = s
-        enc_mask[i, : len(s)] = 1.0
+    distinct, inverse = np.unique(enc_ids, axis=0, return_inverse=True)
+    distinct_mask = (distinct != PAD).astype(np.float64)
+    ids = np.full((n, max_len), BOS, dtype=np.int64)
+    lengths = np.full(n, max_len)
     with ad.no_grad():
-        enc_states = encoder_forward(params, config, enc_ids, enc_mask)
-        cache = DecoderCache()
-        rows = [[BOS] for _ in range(n)]
-        alive = list(range(n))
-        while alive and len(rows[alive[0]]) < max_len:
-            last = np.asarray([rows[i][-1:] for i in alive], dtype=np.int64)
-            logits = decoder_forward(params, config, last, enc_states, enc_mask, cache=cache)
-            step_logits = logits.data[:, -1]
-            keep = []
-            for row, i in enumerate(alive):
-                nxt = _sample_from_logits(step_logits[row], temperature, rngs[i])
-                rows[i].append(nxt)
-                if nxt != EOS:
-                    keep.append(row)
-            if len(keep) < len(alive):
-                cache.keep(keep)
-                alive = [alive[row] for row in keep]
-    return [np.asarray(r, dtype=np.int64) for r in rows]
+        enc_states = encoder_forward(params, config, distinct, distinct_mask)
+        cache = DecoderCache(rows=inverse.reshape(-1))  # numpy 2.0.0 returns the inverse as (n, 1)
+        alive = np.arange(n)
+        for t in range(1, max_len):
+            logits = decoder_forward(params, config, ids[alive, t - 1 : t], enc_states, distinct_mask,
+                                     cache=cache)
+            ids[alive, t] = nxt = _sample_rows(logits.data[:, -1], temperature, [rngs[i] for i in alive])
+            done = nxt == EOS
+            if done.any():
+                lengths[alive[done]] = t + 1
+                alive = alive[~done]
+                if not alive.size:
+                    break
+                cache.keep(np.flatnonzero(~done))
+    return [ids[i, :k].copy() for i, k in enumerate(lengths)]

@@ -20,6 +20,7 @@ from .selfies import split_selfies
 from .tokenizer import PAD, Vocabulary, corrupt, encode_ids
 
 _TAGS = {"init": 0, "shuffle": 1, "mask": 2, "dropout": 4}
+_NOT_MODEL = ("adam.m.", "adam.v.", "meta.")  # checkpoint tensor prefixes that are not parameters
 
 
 class TrainingDivergedError(RuntimeError):
@@ -146,9 +147,13 @@ def train(
     config: ModelConfig,
     settings: TrainSettings,
     out_dir: str | Path | None = None,
-    resume_from: str | Path | None = None,
+    resume_from: str | Path | dict[str, np.ndarray] | None = None,
 ) -> tuple[dict[str, Tensor], TrainLog]:
-    """Run (or resume) denoising training; returns parameters and the log."""
+    """Run (or resume) denoising training; returns parameters and the log.
+
+    `resume_from` is a checkpoint path, or the tensors `resume_tensors` has
+    already read and checked from one.
+    """
     config.validate()
     dtype = np.float64 if settings.dtype == "float64" else np.float32
     sequences, skipped = load_token_corpus(corpus_path, vocab, config.max_len)
@@ -156,15 +161,8 @@ def train(
     log = TrainLog(skipped_too_long=skipped)
     start_step = 0
     if resume_from is not None:
-        config_loaded, tensors = load_checkpoint(resume_from)
-        if config_loaded != config:
-            raise ValueError("checkpoint config differs from requested config")
+        tensors = resume_from if isinstance(resume_from, dict) else resume_tensors(resume_from, config)
         params = _model_params(tensors, dtype)
-        state = [f"adam.{mv}.{name}" for name in params for mv in "mv"] + ["meta.step"]
-        missing = next((k for k in state if k not in tensors), None)
-        if missing is not None:
-            raise CheckpointError(f"{resume_from}: missing tensor {missing} "
-                                  "(no optimizer state to resume from)")
         optimizer = Adam(params, settings)
         for name in params:
             optimizer.m[name] = tensors[f"adam.m.{name}"].astype(dtype)
@@ -262,6 +260,19 @@ def train(
     return params, log
 
 
+def resume_tensors(path: str | Path, config: ModelConfig) -> dict[str, np.ndarray]:
+    """The tensors of checkpoint `path`, checked to hold a run of `config` with its optimizer state."""
+    config_loaded, tensors = load_checkpoint(path)
+    if config_loaded != config:
+        raise CheckpointError(f"{path}: checkpoint model config differs from the requested one")
+    state = [f"adam.{mv}.{name}" for name in tensors if not name.startswith(_NOT_MODEL)
+             for mv in "mv"] + ["meta.step"]
+    missing = next((k for k in state if k not in tensors), None)
+    if missing is not None:
+        raise CheckpointError(f"{path}: missing tensor {missing} (no optimizer state to resume from)")
+    return tensors
+
+
 def load_params(path: str | Path, dtype=np.float32) -> tuple[ModelConfig, dict[str, Tensor]]:
     """Model parameters (without optimizer state) from a checkpoint file."""
     config, tensors = load_checkpoint(path)
@@ -273,7 +284,7 @@ def _model_params(tensors: dict[str, np.ndarray], dtype) -> dict[str, Tensor]:
     return {
         k: Tensor(v.astype(dtype), requires_grad=True)
         for k, v in tensors.items()
-        if not k.startswith(("adam.m.", "adam.v.", "meta."))
+        if not k.startswith(_NOT_MODEL)
     }
 
 

@@ -6,10 +6,13 @@ toy corpus) is built once per session; every stage is seeded, so the numbers
 printed here reproduce bit-for-bit on a single-threaded BLAS.
 """
 
+import ctypes
+import hashlib
 import json
 import math
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from moldae.training import TrainSettings, load_meta, load_params, tagged_rng, t
 
 TRAIN_STEPS = 800
 TRAIN_BUDGET_SECONDS = 30 * 60
+GOLDEN = Path(__file__).with_name("golden_digests.json")
 
 
 def report(criterion: int, detail: str) -> None:
@@ -198,9 +202,15 @@ def test_criterion_6_training_efficacy(toy_run):
               f"{toy_run.final_masked_acc:.3f} in {toy_run.train_seconds / 60:.1f} min")
 
 
-def test_criterion_7_generation_protocol(toy_run):
-    generated = generate_set(toy_run.params, toy_run.config, toy_run.vocab, 1000, seed=99,
-                             checkpoint_id="toy_run", length_hist=toy_run.length_hist)
+@pytest.fixture(scope="module")
+def toy_generated(toy_run) -> GeneratedSet:
+    """Criterion 7's 1,000 length-conditioned samples from the toy run."""
+    return generate_set(toy_run.params, toy_run.config, toy_run.vocab, 1000, seed=99,
+                        checkpoint_id="toy_run", length_hist=toy_run.length_hist)
+
+
+def test_criterion_7_generation_protocol(toy_run, toy_generated):
+    generated = toy_generated
     empty = sum(1 for c in generated.canonical if c is None)
     assert empty / len(generated) < 0.01, f"{empty} empty generations"
     # Every non-empty emission decodes to a valid molecule (grammar totality).
@@ -311,11 +321,12 @@ def test_criterion_9_embedding_sanity(toy_run):
               f"({'; '.join(results)})")
 
 
-def test_criterion_10_pipeline_determinism(tmp_path):
-    """train 100 steps -> generate 100 -> eval, twice, byte-identical outputs."""
+@pytest.fixture(scope="module")
+def pipeline_outputs(tmp_path_factory) -> list[dict[str, bytes]]:
+    """train 100 steps -> generate 100 -> eval, twice; the outputs of each run."""
     outputs = []
     for tag in ("first", "second"):
-        root = tmp_path / tag
+        root = tmp_path_factory.mktemp(tag)
         corpus = root / "c.smiles"
         assert cli_main(["make-corpus", "--n", "150", "--seed", "21",
                          "--output", str(corpus)]) == 0
@@ -342,8 +353,64 @@ def test_criterion_10_pipeline_determinism(tmp_path):
             "generated.smiles": (gen / "generated.smiles").read_bytes(),
             "generation_report.json": (ev / "generation_report.json").read_bytes(),
         })
-    for key in outputs[0]:
-        assert outputs[0][key] == outputs[1][key], f"{key} differs between runs"
-    payload = json.loads(outputs[0]["generation_report.json"])
+    return outputs
+
+
+def test_criterion_10_pipeline_determinism(pipeline_outputs):
+    """train 100 steps -> generate 100 -> eval, twice, byte-identical outputs."""
+    first, second = pipeline_outputs
+    for key in first:
+        assert first[key] == second[key], f"{key} differs between runs"
+    payload = json.loads(first["generation_report.json"])
     report(10, "two seeded pipeline runs byte-identical across checkpoint, vocab, "
                f"generations, and report (validity {payload['validity']:.3f})")
+
+
+def openblas_core() -> str:
+    """The kernel set OpenBLAS picked at run time (e.g. SkylakeX), or 'unknown'."""
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        corename.argtypes = []
+        return corename().decode()
+    return "unknown"
+
+
+def blas_platform() -> str:
+    """What float32 GEMM bits depend on: numpy version, BLAS build and its runtime core."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        return f"numpy {np.__version__}; blas unknown"
+    return f"numpy {np.__version__}; {blas.get('name')} {blas.get('version')}; core {openblas_core()}"
+
+
+def output_digests(toy_generated: GeneratedSet, pipeline_outputs) -> dict[str, dict[str, str]]:
+    """sha256 of criterion 7's samples and of each output of criterion 10's first run."""
+    samples = {
+        "generated.selfies": "".join(f"{r}\n" for r in toy_generated.raw),
+        "generated.smiles": "".join(f"{c or ''}\n" for c in toy_generated.canonical),
+    }
+    return {
+        "criterion_7": {k: hashlib.sha256(v.encode()).hexdigest() for k, v in samples.items()},
+        "criterion_10": {k: hashlib.sha256(v).hexdigest() for k, v in pipeline_outputs[0].items()},
+    }
+
+
+def test_outputs_match_golden_digests(toy_generated, pipeline_outputs):
+    """Criteria 7 and 10 give the committed bytes on every platform the golden file knows.
+
+    float32 GEMM bits differ between BLAS builds and kernel sets, so entries
+    are keyed by `blas_platform()`; anywhere else the test is skipped with
+    that key as its reason. A change that alters outputs on purpose updates
+    tests/golden_digests.json and says why.
+    """
+    platform = blas_platform()
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8")).get(platform)
+    if golden is None:
+        pytest.skip(f"no golden digests for this platform: {platform}")
+    assert output_digests(toy_generated, pipeline_outputs) == golden
+    report(10, f"criteria 7 and 10 outputs equal the golden digests ({platform})")

@@ -318,6 +318,15 @@ FAILURES = {
         "train", "--corpus", str(root / "corpus.selfies"), "--out-dir", str(tmp / "t"),
         "--config", str(root / "train.config"), "--resume", _without_adam(run, tmp)], 2,
         "no_adam.bin: missing tensor adam.m."),
+    "train-resume-bad-magic": (lambda run, root, tmp: [
+        "train", "--corpus", str(root / "corpus.selfies"), "--out-dir", str(tmp / "t"),
+        "--config", str(root / "train.config"), "--resume", _write(tmp, "bad.bin", "garbage")], 2,
+        "bad.bin: not a checkpoint file (bad magic)"),
+    "train-resume-other-model-config": (lambda run, root, tmp: [
+        "train", "--corpus", str(root / "corpus.selfies"), "--out-dir", str(tmp / "t"),
+        "--config", str(root / "train.config"), "--set", "ff_width=48",
+        "--resume", str(run / "checkpoint_final.bin")], 2,
+        "checkpoint_final.bin: checkpoint model config differs"),
     "generate-missing-required-flags": (lambda run, root, tmp: [
         "generate", "--vocab", "x"], 3, "the following arguments are required: --checkpoint"),
     "convert-bad-direction": (lambda run, root, tmp: [
@@ -363,6 +372,17 @@ def test_failed_train_leaves_no_out_dir(trained, tmp_path, capsys):
     root, run, _ = trained
     build, code, _ = FAILURES["train-only-line-over-length"]
     assert main(build(run, root, tmp_path)) == code == 1
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("case", ["train-resume-bad-magic", "train-resume-other-model-config",
+                                  "train-resume-without-adam-state"])
+def test_failed_resume_writes_nothing(case, trained, tmp_path, capsys):
+    """The --resume checkpoint is checked before --out-dir, vocab.txt or config_resolved.txt exist."""
+    root, run, _ = trained
+    build, code, _ = FAILURES[case]
+    assert main(build(run, root, tmp_path)) == code == 2
     assert "error: " in capsys.readouterr().err
     assert not (tmp_path / "t").exists()
 
@@ -425,6 +445,29 @@ def test_recursion_limit_line_is_a_reject(trained, tmp_path):
     assert (tmp_path / "emb.csv.rejects").read_text().startswith("2\t")
     assert emb.read_text().split("\n")[1] == ""
     assert main(argv + ["--lenient"]) == 0
+
+
+def test_reject_reasons_counted_by_type(trained, tmp_path):
+    """<output>.rejects.json counts a bad SMILES, an over-length line and a too-deep chain by type."""
+    root, run, _ = trained
+    src = _write(tmp_path, "mixed.smiles", f"CCO\nC1CC\n\n{'C' * 40}\n{CHAIN}\nCCN\n")
+    out = tmp_path / "out.selfies"
+    assert main(["convert", "--input", src, "--output", str(out)]) == 1
+    assert json.loads((tmp_path / "out.selfies.rejects.json").read_text()) == {
+        "lines": 6, "rejected": 2, "by_type": {"RecursionError": 1, "SmilesParseError": 1}}
+    emb = tmp_path / "emb.csv"
+    assert main(["embed", "--checkpoint", str(run / "checkpoint_final.bin"), "--vocab",
+                 str(run / "vocab.txt"), "--input", src, "--output", str(emb)]) == 1
+    counts = json.loads((tmp_path / "emb.csv.rejects.json").read_text())
+    assert counts == {"lines": 6, "rejected": 3,
+                      "by_type": {"RecursionError": 1, "SmilesParseError": 1, "ValueError": 1}}
+    reasons = (tmp_path / "emb.csv.rejects").read_text().splitlines()
+    assert [r.split("\t")[0] for r in reasons] == ["2", "4", "5"]
+    assert "exceeds max_len" in reasons[1]
+    clean = _write(tmp_path, "clean.smiles", "CCO\n")
+    assert main(["convert", "--input", clean, "--output", str(out)]) == 0
+    assert json.loads((tmp_path / "out.selfies.rejects.json").read_text()) == {
+        "lines": 1, "rejected": 0, "by_type": {}}
 
 
 def test_eval_prop_drops_too_deep_molecule(trained, tmp_path):

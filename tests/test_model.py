@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from moldae import autodiff as ad
+from moldae import model
 from moldae.autodiff import Tensor
 from moldae.model import (
-    DecoderCache, ModelConfig, ModelConfigError, _sample_from_logits, batch_denoise_loss,
+    DecoderCache, ModelConfig, ModelConfigError, _sample_rows, batch_denoise_loss,
     embed, encoder_forward, decoder_forward, init_model, sample_batch,
 )
 from moldae.tokenizer import BOS, EOS, MASK, PAD, CorruptedPair
@@ -340,20 +341,47 @@ class FixedUniform:
         return self.u
 
 
-def test_sample_from_logits_top_uniform_stays_in_vocabulary():
+def sample_reference(logits, temperature, rng):
+    """One row's draw by the per-row loop `_sample_rows` replaced: its bit-for-bit oracle."""
+    z = logits.astype(np.float64) / temperature
+    z -= z.max()
+    p = np.exp(z)
+    p /= p.sum()
+    i = int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
+    return i if i < len(p) else int(np.flatnonzero(p)[-1])
+
+
+def test_sample_rows_top_uniform_stays_in_vocabulary():
     """A uniform at or above the float cumsum's last value picks the last index with mass."""
     rng = np.random.default_rng(0)
-    top = FixedUniform(np.nextafter(1.0, 0.0))
-    for _ in range(200):
-        logits = rng.normal(size=TOY.vocab_size) * 3
-        assert _sample_from_logits(logits, 1.0, top) == TOY.vocab_size - 1
-        logits[-3:] = -2000.0  # exp underflows to zero mass
-        assert _sample_from_logits(logits, 1.0, top) == TOY.vocab_size - 4
-        # Every draw below the cumsum's last value is plain inverse-CDF sampling.
-        p = np.exp(logits - logits.max())
-        cdf = np.cumsum(p / p.sum())
-        for u in rng.random(5) * cdf[-1]:
-            assert _sample_from_logits(logits, 1.0, FixedUniform(u)) == np.searchsorted(cdf, u, side="right")
+    top = [FixedUniform(np.nextafter(1.0, 0.0))] * 200
+    logits = rng.normal(size=(200, TOY.vocab_size)) * 3
+    assert (_sample_rows(logits, 1.0, top) == TOY.vocab_size - 1).all()
+    logits[:, -3:] = -2000.0  # exp underflows to zero mass
+    assert (_sample_rows(logits, 1.0, top) == TOY.vocab_size - 4).all()
+    # Every draw below the cumsum's last value is plain inverse-CDF sampling.
+    p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    cdf = np.cumsum(p / p.sum(axis=-1, keepdims=True), axis=-1)
+    u = rng.random(200) * cdf[:, -1]
+    expected = [np.searchsorted(c, x, side="right") for c, x in zip(cdf, u)]
+    assert _sample_rows(logits, 1.0, [FixedUniform(x) for x in u]).tolist() == expected
+
+
+@pytest.mark.parametrize("vocab", [7, 11, 40, 1000])
+def test_sample_rows_equals_per_row_reference(vocab):
+    """The one-pass draw over all rows equals the per-row loop bit for bit, uniform for uniform."""
+    rng = np.random.default_rng(vocab)
+    for temperature in (1e-3, 0.3, 1.0, 2.5):
+        logits = (rng.normal(size=(64, vocab)) * rng.uniform(0.1, 20, size=(64, 1))).astype(np.float32)
+        for row in range(0, 64, 5):
+            logits[row, -rng.integers(1, vocab):] = -1e4  # a zero-mass tail
+        seeds = rng.integers(0, 2**32, size=64)
+        rows = [np.random.default_rng(s) for s in seeds]
+        rows[::7] = [FixedUniform(np.nextafter(1.0, 0.0))] * len(rows[::7])
+        twins = [np.random.default_rng(s) for s in seeds]
+        twins[::7] = rows[::7]
+        expected = [sample_reference(row, temperature, r) for row, r in zip(logits, twins)]
+        assert _sample_rows(logits, temperature, rows).tolist() == expected, temperature
 
 
 def test_sample_respects_max_len():
@@ -399,3 +427,31 @@ def test_sample_batch_equals_sequential_with_sources():
         assert np.array_equal(a, b)
     with pytest.raises(ValueError):
         sample_one(params, np.random.default_rng(0), source_length=TOY.max_len)
+
+
+@pytest.mark.parametrize("lengths", [[3, 3, 5, 3, None, 5, None], [None] * 5])
+def test_sample_batch_with_shared_sources_equals_sequential(lengths):
+    params = toy_params(13, dtype=np.float32)
+    for p in params.values():
+        p.data *= 10  # weights at N(0, 0.2): every seed's sample depends on its source length
+    seeds = np.random.SeedSequence(79).spawn(len(lengths))
+    for s in seeds:
+        by_source = {tuple(sample_one(params, np.random.default_rng(s), source_length=k)) for k in (3, 5, None)}
+        assert len(by_source) == 3
+    sequential = [sample_one(params, np.random.default_rng(s), source_length=k)
+                  for s, k in zip(seeds, lengths)]
+    batched = sample_batch(params, TOY, [np.random.default_rng(s) for s in seeds], source_lengths=lengths)
+    for a, b in zip(sequential, batched):
+        assert np.array_equal(a, b)
+
+
+def test_sample_batch_encodes_each_distinct_source_once(monkeypatch):
+    params = toy_params(13)
+    rows = []
+    encoder = model.encoder_forward
+    monkeypatch.setattr(model, "encoder_forward",
+                        lambda p, c, ids, mask: rows.append(len(ids)) or encoder(p, c, ids, mask))
+    lengths = [3, 3, 5, 3, None, 5, None]
+    sample_batch(params, TOY, [np.random.default_rng(s) for s in range(7)], source_lengths=lengths)
+    sample_batch(params, TOY, [np.random.default_rng(s) for s in range(4)])
+    assert rows == [3, 1]

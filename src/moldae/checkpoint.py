@@ -1,13 +1,17 @@
 """Versioned binary checkpoint container.
 
 Layout: magic bytes, format version (u32), config JSON (u32 length + UTF-8),
-tensor count (u32), then per tensor: name length (u16), name, rank (u8),
-dims (u32 each), and the values as little-endian float32.
+tensor count (u32), then per tensor: name length (u16), name, dtype (u8:
+0 float32, 1 float64, 2 uint8), rank (u8), dims (u32 each), and the values,
+little-endian, in that dtype. Format 1, still readable, has no dtype byte (all
+float32). A write goes to a temporary file that is then renamed over the
+target, so a failed write leaves the previous file intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -17,7 +21,8 @@ import numpy as np
 from .model import ModelConfig
 
 MAGIC = b"MDAEckpt"
-VERSION = 1
+VERSION = 2
+DTYPES = (np.dtype("<f4"), np.dtype("<f8"), np.dtype("u1"))  # indexed by the dtype byte
 
 
 class CheckpointError(ValueError):
@@ -25,21 +30,25 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path: str | Path, config: ModelConfig, tensors: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        blob = json.dumps(asdict(config), sort_keys=True).encode("utf-8")
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name in sorted(tensors):
-            arr = np.asarray(tensors[name], dtype="<f4")  # tobytes() emits C order
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            blob = json.dumps(asdict(config), sort_keys=True).encode("utf-8")
+            fh.write(MAGIC + struct.pack("<II", VERSION, len(blob)) + blob + struct.pack("<I", len(tensors)))
+            for name in sorted(tensors):
+                arr = np.asarray(tensors[name])
+                dtype = arr.dtype.newbyteorder("<")
+                if dtype not in DTYPES:
+                    raise CheckpointError(f"{name}: cannot store dtype {arr.dtype}")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(encoded)) + encoded)
+                fh.write(struct.pack(f"<BB{arr.ndim}I", DTYPES.index(dtype), arr.ndim, *arr.shape))
+                fh.write(arr.astype(dtype, copy=False).tobytes())  # tobytes() emits C order
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
@@ -50,16 +59,15 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
 
     def take(fmt: str):
         nonlocal off
-        size = struct.calcsize(fmt)
         try:
             vals = struct.unpack_from(fmt, data, off)
         except struct.error as exc:
             raise CheckpointError(f"{path}: truncated checkpoint") from exc
-        off += size
+        off += struct.calcsize(fmt)
         return vals
 
     (version,) = take("<I")
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise CheckpointError(f"{path}: unsupported format version {version}")
     (blob_len,) = take("<I")
     try:
@@ -73,14 +81,17 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
         (name_len,) = take("<H")
         name = data[off : off + name_len].decode("utf-8")
         off += name_len
+        (code,) = take("<B") if version > 1 else (0,)  # format 1: float32 only
+        if code >= len(DTYPES):
+            raise CheckpointError(f"{path}: tensor {name} has unknown dtype code {code}")
+        dtype = DTYPES[code]
         (rank,) = take("<B")
         shape = take(f"<{rank}I") if rank else ()
         n = int(np.prod(shape)) if rank else 1
-        if off + 4 * n > len(data):
+        if off + dtype.itemsize * n > len(data):
             raise CheckpointError(f"{path}: truncated checkpoint")
-        arr = np.frombuffer(data, dtype="<f4", count=n, offset=off).reshape(shape).copy()
-        off += 4 * n
-        tensors[name] = arr
+        tensors[name] = np.frombuffer(data, dtype=dtype, count=n, offset=off).reshape(shape).copy()
+        off += dtype.itemsize * n
     if off != len(data):
         raise CheckpointError(f"{path}: trailing bytes after last tensor")
     return config, tensors

@@ -6,13 +6,15 @@ every command echoes its fully resolved configuration for provenance.
 Exit codes come from one ordered table in main(); the first row whose
 exception classes match wins, and main prints `error: <message>` to stderr:
 
-  3  configuration: ConfigError (bad or unknown config key, unreadable
-     eval-prop manifest or dataset), ModelConfigError; also a usage error
-     (missing or invalid flag), for which argparse prints the usage line
+  3  configuration: ConfigError (bad or unknown config key or value,
+     unreadable eval-prop manifest or dataset), ModelConfigError; also a
+     usage error (missing or invalid flag), for which argparse prints the
+     usage line
   2  I/O and artifacts: OSError (missing or unwritable file or directory),
-     CheckpointError (corrupt or truncated checkpoint, --resume from one
-     without optimizer state or of another model config), VocabularyError
-     (malformed vocabulary, one that does not match the checkpoint, empty
+     CheckpointError (corrupt or truncated checkpoint, one without a
+     vocabulary or whose vocabulary does not fit the model, --resume from one
+     without optimizer state or of another model config, vocabulary or
+     training settings), VocabularyError (malformed vocabulary, empty
      training corpus)
   1  domain: TrainingDivergedError, RecursionError, ValueError (every other
      moldae error: bad molecule, grammar or metric input, generate
@@ -22,6 +24,8 @@ exception classes match wins, and main prints `error: <message>` to stderr:
      blank line plus a `<lineno>\t<reason>` row of <output>.rejects and
      return 1 unless --lenient is given; eval-prop drops and counts it
 
+A checkpoint carries its vocabulary and training settings: generate, embed and
+eval-prop need only --checkpoint, and train --resume checks the run against it.
 Heavy imports happen inside main() so --threads can pin BLAS pools before
 numpy loads (required for bit-reproducible runs).
 """
@@ -39,10 +43,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_IO = 2
 EXIT_CONFIG = 3
-
-_MODEL_KEYS = ("d_model", "n_heads", "encoder_layers", "decoder_layers", "ff_width", "max_len", "dropout")
-_TRAIN_KEYS = ("steps", "batch_size", "peak_lr", "warmup_frac", "beta1", "beta2", "eps",
-               "mask_rate", "checkpoint_interval", "seed", "dtype")
 
 
 class ConfigError(ValueError):
@@ -77,17 +77,6 @@ def echo_config(config: dict[str, str], path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _coerce(config: dict[str, str], key: str, default, kind):
-    if key not in config:
-        return default
-    try:
-        if kind is bool:
-            return config[key].lower() in ("1", "true", "yes")
-        return kind(config[key])
-    except ValueError as exc:
-        raise ConfigError(f"config key {key}: {exc}") from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="moldae", description=__doc__.split("\n")[0])
     parser.add_argument("--threads", type=int, default=1, help="BLAS/OMP thread count (1 = reproducible)")
@@ -112,12 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    p.add_argument("--resume", help="checkpoint to resume from")
-    p.add_argument("--f64", action="store_true", help="train in float64 (gradient-check precision)")
+    p.add_argument("--resume", help="checkpoint to resume from (same corpus and settings)")
 
     p = sub.add_parser("generate", help="sample molecules from a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--n", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
@@ -134,14 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="write one embedding row per input SMILES line")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--lenient", action="store_true")
 
     p = sub.add_parser("eval-prop", help="property-prediction probe over frozen embeddings")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
     p.add_argument("--dataset", required=True, help="CSV with smiles + label columns")
     p.add_argument("--manifest", required=True, help="task manifest (key=value)")
     p.add_argument("--out-dir", required=True)
@@ -220,66 +205,41 @@ def cmd_make_corpus(args) -> int:
     return EXIT_OK
 
 
-def _resolved_model_config(config: dict[str, str], vocab_size: int):
-    from .model import ModelConfig
-
-    return ModelConfig(
-        vocab_size=vocab_size,
-        d_model=_coerce(config, "d_model", 128, int),
-        n_heads=_coerce(config, "n_heads", 4, int),
-        encoder_layers=_coerce(config, "encoder_layers", 2, int),
-        decoder_layers=_coerce(config, "decoder_layers", 2, int),
-        ff_width=_coerce(config, "ff_width", 512, int),
-        max_len=_coerce(config, "max_len", 128, int),
-        dropout=_coerce(config, "dropout", 0.0, float),
-    ).validate()
-
-
 def cmd_train(args) -> int:
+    from dataclasses import asdict, fields
+
+    from .model import ModelConfig
     from .selfies import split_selfies
-    from .tokenizer import VocabularyError, build_vocab, save_vocab
-    from .training import TrainSettings, load_token_corpus, resume_tensors, train
+    from .tokenizer import VocabularyError, build_vocab
+    from .training import TrainSettings, train
 
     config = load_config(args.config, args.set)
-    if args.f64:
-        config["dtype"] = "float64"
-    unknown = set(config) - set(_MODEL_KEYS) - set(_TRAIN_KEYS)
+    owner = {f.name: (cls, f) for cls in (ModelConfig, TrainSettings) for f in fields(cls)
+             if f.name != "vocab_size"}
+    unknown = set(config) - set(owner)
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
+    kwargs = {ModelConfig: {}, TrainSettings: {}}
+    for key, value in config.items():
+        cls, f = owner[key]
+        try:  # each value typed as its field's default
+            kwargs[cls][key] = type(f.default)(value)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key}: {exc}") from exc
+    settings = TrainSettings(**kwargs[TrainSettings])
+    if settings.dtype not in ("float32", "float64"):
+        raise ConfigError(f"config key dtype: {settings.dtype!r} is neither float32 nor float64")
 
-    out_dir = Path(args.out_dir)
     lines = [ln.strip() for ln in Path(args.corpus).read_text(encoding="utf-8").splitlines()]
     if not any(lines):
         raise VocabularyError(f"{args.corpus}: empty corpus")
     vocab = build_vocab([split_selfies(ln) for ln in lines if ln])
-    model_config = _resolved_model_config(config, len(vocab))
-    settings = TrainSettings(
-        steps=_coerce(config, "steps", 1000, int),
-        batch_size=_coerce(config, "batch_size", 32, int),
-        peak_lr=_coerce(config, "peak_lr", 3e-4, float),
-        warmup_frac=_coerce(config, "warmup_frac", 0.05, float),
-        beta1=_coerce(config, "beta1", 0.9, float),
-        beta2=_coerce(config, "beta2", 0.999, float),
-        eps=_coerce(config, "eps", 1e-8, float),
-        mask_rate=_coerce(config, "mask_rate", 0.15, float),
-        checkpoint_interval=_coerce(config, "checkpoint_interval", 0, int),
-        seed=_coerce(config, "seed", 0, int),
-        dtype=_coerce(config, "dtype", "float32", str),
-    )
-    # Both raise before anything is written.
-    load_token_corpus(args.corpus, vocab, model_config.max_len)
-    resume = resume_tensors(args.resume, model_config) if args.resume else None
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_vocab(vocab, out_dir / "vocab.txt")
-    resolved = {k: str(v) for k, v in {
-        **{key: getattr(model_config, key) for key in _MODEL_KEYS},
-        **{key: getattr(settings, key) for key in _TRAIN_KEYS},
-        "vocab_size": len(vocab), "corpus": args.corpus,
-    }.items()}
-    echo_config(resolved, out_dir / "config_resolved.txt")
+    model_config = ModelConfig(len(vocab), **kwargs[ModelConfig]).validate()
+    # train checks the corpus and the --resume checkpoint before it makes --out-dir.
     _, log = train(args.corpus, vocab, model_config, settings,
-                   out_dir=out_dir, resume_from=resume)
+                   out_dir=args.out_dir, resume_from=args.resume)
+    resolved = {**asdict(model_config), **asdict(settings), "corpus": args.corpus}
+    echo_config({k: str(v) for k, v in resolved.items()}, Path(args.out_dir) / "config_resolved.txt")
     last = log.steps[-1] if log.steps else None
     if last is not None:
         print(f"trained {len(log.steps)} steps; final loss {last.loss:.4f}, "
@@ -287,30 +247,15 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_model(args):
-    """Config, parameters and vocabulary of --checkpoint/--vocab, checked against each other."""
-    from .tokenizer import VocabularyError, load_vocab
-    from .training import load_params
-
-    config, params = load_params(args.checkpoint)
-    vocab = load_vocab(args.vocab)
-    if len(vocab) != config.vocab_size:
-        raise VocabularyError(f"{args.vocab}: {len(vocab)} tokens, but {args.checkpoint} "
-                              f"was trained with {config.vocab_size}")
-    return config, params, vocab
-
-
 def cmd_generate(args) -> int:
     from .genmetrics import generate_set
-    from .training import load_meta
+    from .training import load_model
 
-    config, params, vocab = _load_model(args)
-    meta = load_meta(args.checkpoint)
+    config, params, vocab, length_hist = load_model(args.checkpoint)
     start = time.perf_counter()
     generated = generate_set(params, config, vocab, args.n, args.seed,
                              temperature=args.temperature, max_len=args.max_len,
-                             checkpoint_id=Path(args.checkpoint).name,
-                             length_hist=meta.get("meta.length_hist"))
+                             checkpoint_id=Path(args.checkpoint).name, length_hist=length_hist)
     seconds = time.perf_counter() - start
     # Only now: generate_set validates its arguments, and a failed run leaves no directory behind.
     out_dir = Path(args.out_dir)
@@ -318,7 +263,7 @@ def cmd_generate(args) -> int:
     (out_dir / "generated.selfies").write_text("\n".join(generated.raw) + "\n", encoding="utf-8")
     (out_dir / "generated.smiles").write_text(
         "\n".join(c or "" for c in generated.canonical) + "\n", encoding="utf-8")
-    echo_config({"command": "generate", "checkpoint": args.checkpoint, "vocab": args.vocab,
+    echo_config({"command": "generate", "checkpoint": args.checkpoint,
                  "n": str(args.n), "seed": str(args.seed), "temperature": str(args.temperature),
                  "max_len": str(args.max_len)}, out_dir / "config_resolved.txt")
     # seconds and tokens/s are wall-clock, so this is the one file of generate that differs per rerun.
@@ -367,20 +312,22 @@ def cmd_eval_gen(args) -> int:
 
 def cmd_embed(args) -> int:
     from .propeval import embed_smiles
+    from .training import load_model
 
-    config, params, vocab = _load_model(args)
+    config, params, vocab, _ = load_model(args.checkpoint)
 
     def embed_line(text: str) -> str:
         return ",".join(f"{x:.8g}" for x in embed_smiles(text, params, config, vocab))
 
-    return _per_line(args, embed_line, {"checkpoint": args.checkpoint, "vocab": args.vocab},
+    return _per_line(args, embed_line, {"checkpoint": args.checkpoint},
                      "embedded with {rejected} rejects")
 
 
 def cmd_eval_prop(args) -> int:
     from .propeval import DatasetError, TaskManifest, evaluate_dataset, load_dataset
+    from .training import load_model
 
-    config, params, vocab = _load_model(args)
+    config, params, vocab, _ = load_model(args.checkpoint)
     try:
         dataset = load_dataset(args.dataset, TaskManifest.load(args.manifest))
     except DatasetError as exc:
@@ -392,7 +339,7 @@ def cmd_eval_prop(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "property_result.json").write_text(result.to_json(), encoding="utf-8")
-    echo_config({"command": "eval-prop", "checkpoint": args.checkpoint, "vocab": args.vocab,
+    echo_config({"command": "eval-prop", "checkpoint": args.checkpoint,
                  "dataset": args.dataset, "manifest": args.manifest, "seed": str(args.seed)},
                 out_dir / "config_resolved.txt")
     print(f"{result.dataset}: {result.metric_name}={result.metric:.4f} (lambda={result.lam})")

@@ -60,17 +60,27 @@ def build_vocab(corpus) -> Vocabulary:
     return Vocabulary(tuple(texts), {t: i for i, t in enumerate(texts)})
 
 
+def vocab_text(vocab: Vocabulary) -> str:
+    """One token text per line, in id order: the vocabulary file's contents."""
+    return "\n".join(vocab.texts) + "\n"
+
+
+def parse_vocab(text: str, source: str | Path) -> Vocabulary:
+    """The vocabulary `vocab_text` wrote; `source` names it in errors."""
+    texts = text.splitlines()
+    if tuple(texts[:5]) != SPECIALS:
+        raise VocabularyError(f"{source}: first five lines must be the special tokens")
+    if len(set(texts)) != len(texts):
+        raise VocabularyError(f"{source}: duplicate token text")
+    return Vocabulary(tuple(texts), {t: i for i, t in enumerate(texts)})
+
+
 def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
-    Path(path).write_text("\n".join(vocab.texts) + "\n", encoding="utf-8")
+    Path(path).write_text(vocab_text(vocab), encoding="utf-8")
 
 
 def load_vocab(path: str | Path) -> Vocabulary:
-    texts = Path(path).read_text(encoding="utf-8").splitlines()
-    if tuple(texts[:5]) != SPECIALS:
-        raise VocabularyError(f"{path}: first five lines must be the special tokens")
-    if len(set(texts)) != len(texts):
-        raise VocabularyError(f"{path}: duplicate token text")
-    return Vocabulary(tuple(texts), {t: i for i, t in enumerate(texts)})
+    return parse_vocab(Path(path).read_text(encoding="utf-8"), path)
 
 
 def encode_ids(tokens, vocab: Vocabulary) -> np.ndarray:

@@ -2,13 +2,15 @@
 
 All randomness is keyed statelessly by (seed, purpose, step-or-epoch), so a
 run resumed from a checkpoint reproduces the uninterrupted run exactly; the
-checkpoint stores parameters, Adam moments, and the step counter.
+checkpoint stores parameters and Adam moments in the run's dtype, the step
+counter, and the vocabulary and TrainSettings (which a resume must match).
 """
 
 from __future__ import annotations
 
+import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from .autodiff import Tensor
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .model import ModelConfig, batch_denoise_loss, init_model
 from .selfies import split_selfies
-from .tokenizer import PAD, Vocabulary, corrupt, encode_ids
+from .tokenizer import PAD, Vocabulary, corrupt, encode_ids, parse_vocab, vocab_text
 
 _TAGS = {"init": 0, "shuffle": 1, "mask": 2, "dropout": 4}
 _NOT_MODEL = ("adam.m.", "adam.v.", "meta.")  # checkpoint tensor prefixes that are not parameters
@@ -147,12 +149,12 @@ def train(
     config: ModelConfig,
     settings: TrainSettings,
     out_dir: str | Path | None = None,
-    resume_from: str | Path | dict[str, np.ndarray] | None = None,
+    resume_from: str | Path | None = None,
 ) -> tuple[dict[str, Tensor], TrainLog]:
     """Run (or resume) denoising training; returns parameters and the log.
 
-    `resume_from` is a checkpoint path, or the tensors `resume_tensors` has
-    already read and checked from one.
+    The corpus and the `resume_from` checkpoint are checked before `out_dir`
+    is made, so a run that fails there writes nothing.
     """
     config.validate()
     dtype = np.float64 if settings.dtype == "float64" else np.float32
@@ -161,7 +163,7 @@ def train(
     log = TrainLog(skipped_too_long=skipped)
     start_step = 0
     if resume_from is not None:
-        tensors = resume_from if isinstance(resume_from, dict) else resume_tensors(resume_from, config)
+        tensors = resume_tensors(resume_from, config, vocab, settings)
         params = _model_params(tensors, dtype)
         optimizer = Adam(params, settings)
         for name in params:
@@ -190,6 +192,9 @@ def train(
         tensors.update({f"adam.v.{k}": v for k, v in optimizer.v.items()})
         tensors["meta.step"] = np.asarray([step], dtype=np.float32)
         tensors["meta.length_hist"] = length_hist
+        # The run's vocabulary file and settings, as bytes, so the checkpoint stands alone.
+        tensors["meta.vocab"] = np.frombuffer(vocab_text(vocab).encode(), np.uint8)
+        tensors["meta.settings"] = np.frombuffer(json.dumps(asdict(settings), sort_keys=True).encode(), np.uint8)
         save_checkpoint(out / name, config, tensors)
 
     lengths = np.asarray([len(s) for s in sequences])
@@ -260,17 +265,43 @@ def train(
     return params, log
 
 
-def resume_tensors(path: str | Path, config: ModelConfig) -> dict[str, np.ndarray]:
-    """The tensors of checkpoint `path`, checked to hold a run of `config` with its optimizer state."""
+def resume_tensors(path: str | Path, config: ModelConfig, vocab: Vocabulary,
+                   settings: TrainSettings) -> dict[str, np.ndarray]:
+    """Checkpoint `path`'s tensors, checked to continue this very run with its optimizer state:
+    any difference in model config, vocabulary or settings breaks resume-equals-uninterrupted."""
     config_loaded, tensors = load_checkpoint(path)
     if config_loaded != config:
         raise CheckpointError(f"{path}: checkpoint model config differs from the requested one")
     state = [f"adam.{mv}.{name}" for name in tensors if not name.startswith(_NOT_MODEL)
-             for mv in "mv"] + ["meta.step"]
+             for mv in "mv"] + ["meta.step", "meta.vocab", "meta.settings"]
     missing = next((k for k in state if k not in tensors), None)
     if missing is not None:
-        raise CheckpointError(f"{path}: missing tensor {missing} (no optimizer state to resume from)")
+        raise CheckpointError(f"{path}: missing tensor {missing}, which a resume needs")
+    if tensors["meta.vocab"].tobytes() != vocab_text(vocab).encode():
+        raise CheckpointError(f"{path}: checkpoint vocabulary differs from the corpus's (other token ids)")
+    try:
+        saved, current = json.loads(tensors["meta.settings"].tobytes()), asdict(settings)
+        differ = [f"{k} {saved.get(k)!r} -> {current.get(k)!r}"
+                  for k in sorted(saved.keys() | current.keys()) if saved.get(k) != current.get(k)]
+    except (ValueError, AttributeError) as exc:  # not UTF-8, not JSON, or not an object
+        raise CheckpointError(f"{path}: unreadable meta.settings ({exc})") from exc
+    if differ:
+        raise CheckpointError(f"{path}: checkpoint was trained with other settings: {', '.join(differ)}")
     return tensors
+
+
+def load_model(path: str | Path) -> tuple[ModelConfig, dict[str, Tensor], Vocabulary, np.ndarray | None]:
+    """Config, float32 parameters, vocabulary and length histogram of a checkpoint, read once."""
+    config, tensors = load_checkpoint(path)
+    if "meta.vocab" not in tensors:
+        raise CheckpointError(f"{path}: no vocabulary in checkpoint (format 1, or not written by train)")
+    try:
+        vocab = parse_vocab(tensors["meta.vocab"].tobytes().decode("utf-8"), path)
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: unreadable meta.vocab ({exc})") from exc
+    if len(vocab) != config.vocab_size:
+        raise CheckpointError(f"{path}: vocabulary has {len(vocab)} tokens, the model {config.vocab_size}")
+    return config, _model_params(tensors, np.float32), vocab, tensors.get("meta.length_hist")
 
 
 def load_params(path: str | Path, dtype=np.float32) -> tuple[ModelConfig, dict[str, Tensor]]:
@@ -289,6 +320,6 @@ def _model_params(tensors: dict[str, np.ndarray], dtype) -> dict[str, Tensor]:
 
 
 def load_meta(path: str | Path) -> dict[str, np.ndarray]:
-    """The checkpoint's meta.* tensors (step counter, length histogram)."""
+    """The checkpoint's meta.* tensors (step counter, length histogram, vocabulary, settings)."""
     _, tensors = load_checkpoint(path)
     return {k: v for k, v in tensors.items() if k.startswith("meta.")}

@@ -28,7 +28,7 @@ from moldae.model import ModelConfig, batch_denoise_loss, init_model
 from moldae.propeval import LAMBDA_GRID, PropertyDataset, rmse, roc_auc, split, train_probe
 from moldae.smiles import parse_smiles
 from moldae.tokenizer import BOS, EOS, MASK, CorruptedPair, build_vocab, encode_ids
-from moldae.training import TrainSettings, load_meta, load_params, tagged_rng, train
+from moldae.training import TrainSettings, load_model, tagged_rng, train
 
 TRAIN_STEPS = 800
 TRAIN_BUDGET_SECONDS = 30 * 60
@@ -67,14 +67,13 @@ def toy_run(tmp_path_factory) -> ToyRun:
                    TrainSettings(steps=TRAIN_STEPS, batch_size=64, seed=0),
                    out_dir=root / "run")
     seconds = time.perf_counter() - started
-    config, params = load_params(root / "run" / "checkpoint_final.bin")
-    meta = load_meta(root / "run" / "checkpoint_final.bin")
+    config, params, _, length_hist = load_model(root / "run" / "checkpoint_final.bin")
     return ToyRun(
         corpus_smiles=molecules,
         vocab=vocab,
         config=config,
         params=params,
-        length_hist=meta["meta.length_hist"],
+        length_hist=length_hist,
         initial_loss=float(np.mean([r.loss for r in log.steps[:5]])),
         final_loss=float(np.mean([r.loss for r in log.steps[-20:]])),
         final_masked_acc=float(np.nanmean([r.masked_acc for r in log.steps[-20:]])),
@@ -321,39 +320,58 @@ def test_criterion_9_embedding_sanity(toy_run):
               f"({'; '.join(results)})")
 
 
+def run_pipeline(root: Path) -> dict[str, bytes]:
+    """make-corpus -> convert -> train 100 steps -> generate 100 -> eval-gen, then embed,
+    eval-prop and convert on a mixed file with rejects; each output's bytes by name."""
+    corpus = root / "c.smiles"
+    assert cli_main(["make-corpus", "--n", "150", "--seed", "21", "--output", str(corpus)]) == 0
+    selfies_path = root / "c.selfies"
+    assert cli_main(["convert", "--input", str(corpus), "--output", str(selfies_path)]) == 0
+    run = root / "run"
+    assert cli_main(["train", "--corpus", str(selfies_path), "--out-dir", str(run),
+                     "--set", "d_model=32", "--set", "n_heads=2",
+                     "--set", "encoder_layers=1", "--set", "decoder_layers=1",
+                     "--set", "ff_width=64", "--set", "max_len=48",
+                     "--set", "steps=100", "--set", "batch_size=16",
+                     "--set", "seed=13"]) == 0
+    ckpt = str(run / "checkpoint_final.bin")
+    gen = root / "gen"
+    assert cli_main(["generate", "--checkpoint", ckpt, "--out-dir", str(gen),
+                     "--n", "100", "--seed", "31"]) == 0
+    ev = root / "ev"
+    assert cli_main(["eval-gen", "--generated", str(gen / "generated.selfies"),
+                     "--training-canon", str(corpus), "--out-dir", str(ev)]) == 0
+    molecules = corpus.read_text().splitlines()
+    # Rejects: a syntax error, a charge outside the alphabet, an unclosed ring, and
+    # (embed only) a chain over max_len.
+    mixed = root / "mixed.smiles"
+    mixed.write_text("\n".join(molecules[:20] + ["not_a_molecule", "", "C[O-]", "C1CC", "C" * 60]) + "\n")
+    assert cli_main(["convert", "--input", str(mixed), "--output", str(root / "mixed.selfies")]) == 1
+    assert cli_main(["embed", "--checkpoint", ckpt, "--input", str(mixed),
+                     "--output", str(root / "embed.csv")]) == 1
+    dataset = root / "data.csv"
+    dataset.write_text("smiles,y\n" + "".join(f"{s},{len(s)}\n" for s in molecules[:80]))
+    manifest = root / "task.manifest"
+    manifest.write_text("task=regression\nsmiles=smiles\nlabels=y\nname=toy\n")
+    assert cli_main(["eval-prop", "--checkpoint", ckpt, "--dataset", str(dataset),
+                     "--manifest", str(manifest), "--out-dir", str(root / "prop"), "--seed", "2"]) == 0
+    files = {
+        "checkpoint": run / "checkpoint_final.bin",
+        "generated.selfies": gen / "generated.selfies",
+        "generated.smiles": gen / "generated.smiles",
+        "generation_report.json": ev / "generation_report.json",
+        "property_result.json": root / "prop" / "property_result.json",
+    }
+    for suffix in ("", ".rejects", ".rejects.json"):
+        files[f"embed.csv{suffix}"] = root / f"embed.csv{suffix}"
+        files[f"convert.selfies{suffix}"] = root / f"mixed.selfies{suffix}"
+    return {name: path.read_bytes() for name, path in files.items()}
+
+
 @pytest.fixture(scope="module")
 def pipeline_outputs(tmp_path_factory) -> list[dict[str, bytes]]:
-    """train 100 steps -> generate 100 -> eval, twice; the outputs of each run."""
-    outputs = []
-    for tag in ("first", "second"):
-        root = tmp_path_factory.mktemp(tag)
-        corpus = root / "c.smiles"
-        assert cli_main(["make-corpus", "--n", "150", "--seed", "21",
-                         "--output", str(corpus)]) == 0
-        selfies_path = root / "c.selfies"
-        assert cli_main(["convert", "--input", str(corpus), "--output", str(selfies_path)]) == 0
-        run = root / "run"
-        assert cli_main(["train", "--corpus", str(selfies_path), "--out-dir", str(run),
-                         "--set", "d_model=32", "--set", "n_heads=2",
-                         "--set", "encoder_layers=1", "--set", "decoder_layers=1",
-                         "--set", "ff_width=64", "--set", "max_len=48",
-                         "--set", "steps=100", "--set", "batch_size=16",
-                         "--set", "seed=13"]) == 0
-        gen = root / "gen"
-        assert cli_main(["generate", "--checkpoint", str(run / "checkpoint_final.bin"),
-                         "--vocab", str(run / "vocab.txt"), "--out-dir", str(gen),
-                         "--n", "100", "--seed", "31"]) == 0
-        ev = root / "ev"
-        assert cli_main(["eval-gen", "--generated", str(gen / "generated.selfies"),
-                         "--training-canon", str(corpus), "--out-dir", str(ev)]) == 0
-        outputs.append({
-            "checkpoint": (run / "checkpoint_final.bin").read_bytes(),
-            "vocab": (run / "vocab.txt").read_bytes(),
-            "generated.selfies": (gen / "generated.selfies").read_bytes(),
-            "generated.smiles": (gen / "generated.smiles").read_bytes(),
-            "generation_report.json": (ev / "generation_report.json").read_bytes(),
-        })
-    return outputs
+    """The outputs of two runs of `run_pipeline`."""
+    return [run_pipeline(tmp_path_factory.mktemp(tag)) for tag in ("first", "second")]
 
 
 def test_criterion_10_pipeline_determinism(pipeline_outputs):
@@ -362,8 +380,8 @@ def test_criterion_10_pipeline_determinism(pipeline_outputs):
     for key in first:
         assert first[key] == second[key], f"{key} differs between runs"
     payload = json.loads(first["generation_report.json"])
-    report(10, "two seeded pipeline runs byte-identical across checkpoint, vocab, "
-               f"generations, and report (validity {payload['validity']:.3f})")
+    report(10, "two seeded pipeline runs byte-identical across checkpoint, generations, "
+               f"report, embeddings, property result and rejects (validity {payload['validity']:.3f})")
 
 
 def openblas_core() -> str:

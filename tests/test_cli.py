@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from moldae.cli import main
@@ -98,15 +99,44 @@ def trained(workspace):
     return root, out_dir, selfies_path
 
 
+RESOLVED = """batch_size=8
+beta1=0.9
+beta2=0.999
+checkpoint_interval=0
+d_model=16
+decoder_layers=1
+dropout=0.0
+dtype=float32
+encoder_layers=1
+eps=1e-08
+ff_width=32
+mask_rate=0.15
+max_len=32
+n_heads=2
+peak_lr=0.0003
+seed=7
+steps=30
+warmup_frac=0.05
+"""
+
+
 def test_train_outputs(trained):
-    _, out_dir, _ = trained
-    assert (out_dir / "checkpoint_final.bin").exists()
-    assert (out_dir / "vocab.txt").exists()
+    from moldae.selfies import split_selfies
+    from moldae.tokenizer import build_vocab
+    from moldae.training import load_model
+
+    _, out_dir, selfies_path = trained
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "checkpoint_final.bin", "config_resolved.txt", "trainlog.csv"]
     log_lines = (out_dir / "trainlog.csv").read_text().splitlines()
     assert log_lines[0] == "step,loss,masked_acc,seconds"
     assert len(log_lines) == 31
-    resolved = dict(l.split("=", 1) for l in (out_dir / "config_resolved.txt").read_text().splitlines())
-    assert resolved["d_model"] == "16" and resolved["steps"] == "30"
+    # Every ModelConfig and TrainSettings field, typed as its default, plus the corpus.
+    resolved = (out_dir / "config_resolved.txt").read_text().splitlines()
+    assert [l for l in resolved if not l.startswith(("corpus=", "vocab_size="))] == RESOLVED.splitlines()
+    _, _, vocab, _ = load_model(out_dir / "checkpoint_final.bin")
+    assert vocab == build_vocab([split_selfies(l) for l in selfies_path.read_text().splitlines()])
+    assert f"vocab_size={len(vocab)}" in resolved
 
 
 def test_train_unknown_config_key_is_config_error(workspace, tmp_path):
@@ -121,7 +151,7 @@ def test_generate_and_eval_gen(trained):
     root, out_dir, selfies_path = trained
     gen_dir = root / "gen"
     rc = main(["generate", "--checkpoint", str(out_dir / "checkpoint_final.bin"),
-               "--vocab", str(out_dir / "vocab.txt"), "--out-dir", str(gen_dir),
+               "--out-dir", str(gen_dir),
                "--n", "40", "--seed", "5"])
     assert rc == 0
     raw = (gen_dir / "generated.selfies").read_text().splitlines()
@@ -149,8 +179,7 @@ def test_embed_matrix(trained, tmp_path):
     src = tmp_path / "mols.smiles"
     src.write_text("CCO\nCC\nbadsmiles\n")
     out = tmp_path / "emb.csv"
-    rc = main(["embed", "--checkpoint", str(out_dir / "checkpoint_final.bin"),
-               "--vocab", str(out_dir / "vocab.txt"), "--input", str(src),
+    rc = main(["embed", "--checkpoint", str(out_dir / "checkpoint_final.bin"), "--input", str(src),
                "--output", str(out), "--lenient"])
     assert rc == 0
     lines = out.read_text().splitlines()
@@ -159,8 +188,7 @@ def test_embed_matrix(trained, tmp_path):
     assert lines[2] == ""
     assert Path(str(out) + ".rejects").read_text().startswith("3\t")
     # strict mode fails on rejects
-    rc = main(["embed", "--checkpoint", str(out_dir / "checkpoint_final.bin"),
-               "--vocab", str(out_dir / "vocab.txt"), "--input", str(src),
+    rc = main(["embed", "--checkpoint", str(out_dir / "checkpoint_final.bin"), "--input", str(src),
                "--output", str(out)])
     assert rc == 1
 
@@ -179,7 +207,7 @@ def test_eval_prop_pipeline(trained, tmp_path):
     manifest.write_text("task=regression\nsmiles=smiles\nlabels=y\nname=toy\n")
     prop_dir = root / "prop"
     rc = main(["eval-prop", "--checkpoint", str(out_dir / "checkpoint_final.bin"),
-               "--vocab", str(out_dir / "vocab.txt"), "--dataset", str(csv_path),
+               "--dataset", str(csv_path),
                "--manifest", str(manifest), "--out-dir", str(prop_dir), "--seed", "1"])
     assert rc == 0
     result = json.loads((prop_dir / "property_result.json").read_text())
@@ -204,8 +232,7 @@ def test_full_pipeline_byte_identical(tmp_path):
                      "--set", "decoder_layers=1", "--set", "ff_width=32", "--set", "max_len=32",
                      "--set", "steps=12", "--set", "batch_size=8", "--set", "seed=4"]) == 0
         gen = root / "gen"
-        assert main(["generate", "--checkpoint", str(run / "checkpoint_final.bin"),
-                     "--vocab", str(run / "vocab.txt"), "--out-dir", str(gen),
+        assert main(["generate", "--checkpoint", str(run / "checkpoint_final.bin"), "--out-dir", str(gen),
                      "--n", "25", "--seed", "2"]) == 0
         ev = root / "ev"
         assert main(["eval-gen", "--generated", str(gen / "generated.selfies"),
@@ -216,7 +243,6 @@ def test_full_pipeline_byte_identical(tmp_path):
             "corpus": corpus.read_bytes(),
             "selfies": selfies_path.read_bytes(),
             "ckpt": (run / "checkpoint_final.bin").read_bytes(),
-            "vocab": (run / "vocab.txt").read_bytes(),
             "gen_selfies": (gen / "generated.selfies").read_bytes(),
             "gen_smiles": (gen / "generated.smiles").read_bytes(),
             "report": (ev / "generation_report.json").read_bytes(),
@@ -235,9 +261,18 @@ def _truncated(run, tmp, size):
     return str(path)
 
 
+V1_CHECKPOINT = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "model.bin"  # no vocabulary
+
+
 def _short_vocab(run, tmp):
-    path = tmp / "vocab30.txt"
-    path.write_text("\n".join((run / "vocab.txt").read_text().splitlines()[:30]) + "\n")
+    """The run's checkpoint with only the first 30 lines of its vocabulary."""
+    from moldae.checkpoint import load_checkpoint, save_checkpoint
+
+    config, tensors = load_checkpoint(run / "checkpoint_final.bin")
+    texts = tensors["meta.vocab"].tobytes().decode().splitlines()[:30]
+    tensors["meta.vocab"] = np.frombuffer(("\n".join(texts) + "\n").encode(), dtype=np.uint8)
+    path = tmp / "vocab30.bin"
+    save_checkpoint(path, config, tensors)
     return str(path)
 
 
@@ -255,22 +290,31 @@ def _write(tmp, name, text):
     return str(tmp / name)
 
 
-def _generate(ckpt, vocab, out_dir):
-    return ["generate", "--checkpoint", ckpt, "--vocab", vocab, "--out-dir", out_dir, "--n", "4"]
+def _generate(ckpt, out_dir):
+    return ["generate", "--checkpoint", ckpt, "--out-dir", out_dir, "--n", "4"]
 
 
-def _embed(ckpt, vocab, root, output):
-    return ["embed", "--checkpoint", ckpt, "--vocab", vocab,
-            "--input", str(root / "corpus.smiles"), "--output", output]
+def _embed(ckpt, root, output):
+    return ["embed", "--checkpoint", ckpt, "--input", str(root / "corpus.smiles"), "--output", output]
 
 
-def _eval_prop(ckpt, vocab, root, tmp, rows=None):
+def _eval_prop(ckpt, root, tmp, rows=None):
     if rows is None:
         rows = [f"{s},{len(s)}" for s in (root / "corpus.smiles").read_text().splitlines()[:40]]
     dataset = _write(tmp, "data.csv", "smiles,y\n" + "\n".join(rows) + "\n")
     manifest = _write(tmp, "task.manifest", "task=regression\nsmiles=smiles\nlabels=y\n")
-    return ["eval-prop", "--checkpoint", ckpt, "--vocab", vocab, "--dataset", dataset,
+    return ["eval-prop", "--checkpoint", ckpt, "--dataset", dataset,
             "--manifest", manifest, "--out-dir", str(tmp / "prop")]
+
+
+def _resume(root, tmp, ckpt, *extra, corpus=None):
+    return ["train", "--corpus", corpus or str(root / "corpus.selfies"), "--out-dir", str(tmp / "t"),
+            "--config", str(root / "train.config"), *extra, "--resume", ckpt]
+
+
+def _reordered_corpus(root, tmp):
+    lines = (root / "corpus.selfies").read_text().splitlines()
+    return _write(tmp, "reordered.selfies", "\n".join(reversed(lines)) + "\n")
 
 
 def _below_file(tmp, name):
@@ -281,54 +325,50 @@ def _below_file(tmp, name):
 # (argv builder over (run dir, workspace root, tmp dir), exit code, text stderr must hold)
 FAILURES = {
     "generate-truncated-checkpoint": (lambda run, root, tmp: _generate(
-        _truncated(run, tmp, 1000), str(run / "vocab.txt"), str(tmp / "gen")), 2, "truncated checkpoint"),
+        _truncated(run, tmp, 1000), str(tmp / "gen")), 2, "truncated checkpoint"),
     "generate-truncated-config-block": (lambda run, root, tmp: _generate(
-        _truncated(run, tmp, 40), str(run / "vocab.txt"), str(tmp / "gen")), 2, "truncated40.bin"),
+        _truncated(run, tmp, 40), str(tmp / "gen")), 2, "truncated40.bin"),
     "embed-truncated-checkpoint": (lambda run, root, tmp: _embed(
-        _truncated(run, tmp, 1000), str(run / "vocab.txt"), root, str(tmp / "e.csv")), 2,
-        "truncated checkpoint"),
+        _truncated(run, tmp, 1000), root, str(tmp / "e.csv")), 2, "truncated checkpoint"),
     "eval-prop-truncated-checkpoint": (lambda run, root, tmp: _eval_prop(
-        _truncated(run, tmp, 1000), str(run / "vocab.txt"), root, tmp), 2, "truncated checkpoint"),
+        _truncated(run, tmp, 1000), root, tmp), 2, "truncated checkpoint"),
     "eval-prop-non-numeric-label": (lambda run, root, tmp: _eval_prop(
-        str(run / "checkpoint_final.bin"), str(run / "vocab.txt"), root, tmp,
-        rows=["CCO,1.5", "CC,heavy"]), 3, "data.csv:3:"),
+        str(run / "checkpoint_final.bin"), root, tmp, rows=["CCO,1.5", "CC,heavy"]), 3, "data.csv:3:"),
     "eval-prop-nothing-to-probe": (lambda run, root, tmp: _eval_prop(
-        str(run / "checkpoint_final.bin"), str(run / "vocab.txt"), root, tmp,
-        rows=[f"{'C' * 40},1.0"]), 1, "no record could be featurized"),
+        str(run / "checkpoint_final.bin"), root, tmp, rows=[f"{'C' * 40},1.0"]), 1,
+        "no record could be featurized"),
     "generate-out-dir-below-file": (lambda run, root, tmp: _generate(
-        str(run / "checkpoint_final.bin"), str(run / "vocab.txt"), _below_file(tmp, "gen")), 2,
-        "plain"),
+        str(run / "checkpoint_final.bin"), _below_file(tmp, "gen")), 2, "plain"),
     "embed-output-below-file": (lambda run, root, tmp: _embed(
-        str(run / "checkpoint_final.bin"), str(run / "vocab.txt"), root,
-        _below_file(tmp, "sub/e.csv")), 2, "plain"),
-    "generate-short-vocab": (lambda run, root, tmp: _generate(
-        str(run / "checkpoint_final.bin"), _short_vocab(run, tmp), str(tmp / "gen")), 2, "vocab30.txt"),
-    "embed-short-vocab": (lambda run, root, tmp: _embed(
-        str(run / "checkpoint_final.bin"), _short_vocab(run, tmp), root, str(tmp / "e.csv")), 2,
-        "vocab30.txt"),
-    "eval-prop-short-vocab": (lambda run, root, tmp: _eval_prop(
-        str(run / "checkpoint_final.bin"), _short_vocab(run, tmp), root, tmp), 2, "vocab30.txt"),
+        str(run / "checkpoint_final.bin"), root, _below_file(tmp, "sub/e.csv")), 2, "plain"),
+    "generate-v1-checkpoint-without-vocab": (lambda run, root, tmp: _generate(
+        str(V1_CHECKPOINT), str(tmp / "gen")), 2, "model.bin: no vocabulary in checkpoint"),
+    "generate-vocab-size-mismatch": (lambda run, root, tmp: _generate(
+        _short_vocab(run, tmp), str(tmp / "gen")), 2, "vocab30.bin: vocabulary has 30 tokens"),
     "train-only-line-over-length": (lambda run, root, tmp: [
         "train", "--corpus", _write(tmp, "long.selfies", "[C]" * 40 + "\n"),
         "--out-dir", str(tmp / "t"), "--set", "max_len=16"], 1, "long.selfies"),
     "train-empty-corpus": (lambda run, root, tmp: [
         "train", "--corpus", _write(tmp, "empty.selfies", ""), "--out-dir", str(tmp / "t")], 2,
         "empty.selfies: empty corpus"),
-    "train-resume-without-adam-state": (lambda run, root, tmp: [
+    "train-unknown-dtype": (lambda run, root, tmp: [
         "train", "--corpus", str(root / "corpus.selfies"), "--out-dir", str(tmp / "t"),
-        "--config", str(root / "train.config"), "--resume", _without_adam(run, tmp)], 2,
-        "no_adam.bin: missing tensor adam.m."),
-    "train-resume-bad-magic": (lambda run, root, tmp: [
-        "train", "--corpus", str(root / "corpus.selfies"), "--out-dir", str(tmp / "t"),
-        "--config", str(root / "train.config"), "--resume", _write(tmp, "bad.bin", "garbage")], 2,
-        "bad.bin: not a checkpoint file (bad magic)"),
-    "train-resume-other-model-config": (lambda run, root, tmp: [
-        "train", "--corpus", str(root / "corpus.selfies"), "--out-dir", str(tmp / "t"),
-        "--config", str(root / "train.config"), "--set", "ff_width=48",
-        "--resume", str(run / "checkpoint_final.bin")], 2,
+        "--set", "dtype=float16"], 3, "config key dtype: 'float16'"),
+    "train-resume-without-adam-state": (lambda run, root, tmp: _resume(
+        root, tmp, _without_adam(run, tmp)), 2, "no_adam.bin: missing tensor adam.m."),
+    "train-resume-bad-magic": (lambda run, root, tmp: _resume(
+        root, tmp, _write(tmp, "bad.bin", "garbage")), 2, "bad.bin: not a checkpoint file (bad magic)"),
+    "train-resume-other-model-config": (lambda run, root, tmp: _resume(
+        root, tmp, str(run / "checkpoint_final.bin"), "--set", "ff_width=48"), 2,
         "checkpoint_final.bin: checkpoint model config differs"),
+    "train-resume-other-seed": (lambda run, root, tmp: _resume(
+        root, tmp, str(run / "checkpoint_final.bin"), "--set", "seed=8"), 2,
+        "checkpoint was trained with other settings: seed 7 -> 8"),
+    "train-resume-reordered-corpus": (lambda run, root, tmp: _resume(
+        root, tmp, str(run / "checkpoint_final.bin"), corpus=_reordered_corpus(root, tmp)), 2,
+        "checkpoint vocabulary differs from the corpus's"),
     "generate-missing-required-flags": (lambda run, root, tmp: [
-        "generate", "--vocab", "x"], 3, "the following arguments are required: --checkpoint"),
+        "generate", "--n", "4"], 3, "the following arguments are required: --checkpoint"),
     "convert-bad-direction": (lambda run, root, tmp: [
         "convert", "--input", "a", "--output", "b", "--direction", "sideways"], 3,
         "invalid choice: 'sideways'"),
@@ -336,7 +376,7 @@ FAILURES = {
         "train", "--corpus", str(root / "corpus.selfies"), "--out-dir", str(tmp / "t"),
         "--config", str(tmp / "missing.config")], 2, "missing.config"),
     "generate-max-len-below-2": (lambda run, root, tmp: _generate(
-        str(run / "checkpoint_final.bin"), str(run / "vocab.txt"), str(tmp / "gen")) + ["--max-len", "1"],
+        str(run / "checkpoint_final.bin"), str(tmp / "gen")) + ["--max-len", "1"],
         1, "max_len must be >= 2"),
     "convert-3000-atom-chain": (lambda run, root, tmp: [
         "convert", "--input", _write(tmp, "chain.smiles", CHAIN + "\n"),
@@ -363,7 +403,7 @@ def test_failures_exit_with_documented_code(case, trained, tmp_path, capsys):
 def test_failed_generate_leaves_no_out_dir(bad, trained, tmp_path, capsys):
     root, run, _ = trained
     out_dir = tmp_path / "gen"
-    assert main(_generate(str(run / "checkpoint_final.bin"), str(run / "vocab.txt"), str(out_dir)) + bad) == 1
+    assert main(_generate(str(run / "checkpoint_final.bin"), str(out_dir)) + bad) == 1
     assert "error: " in capsys.readouterr().err
     assert not out_dir.exists()
 
@@ -377,9 +417,10 @@ def test_failed_train_leaves_no_out_dir(trained, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["train-resume-bad-magic", "train-resume-other-model-config",
-                                  "train-resume-without-adam-state"])
+                                  "train-resume-without-adam-state", "train-resume-other-seed",
+                                  "train-resume-reordered-corpus"])
 def test_failed_resume_writes_nothing(case, trained, tmp_path, capsys):
-    """The --resume checkpoint is checked before --out-dir, vocab.txt or config_resolved.txt exist."""
+    """The --resume checkpoint is checked before --out-dir or config_resolved.txt exist."""
     root, run, _ = trained
     build, code, _ = FAILURES[case]
     assert main(build(run, root, tmp_path)) == code == 2
@@ -391,43 +432,58 @@ def test_eval_prop_parses_each_row_once(trained, tmp_path, monkeypatch):
     import dataclasses
 
     from moldae import propeval
-    from moldae.tokenizer import load_vocab
-    from moldae.training import load_params
+    from moldae.training import load_model
 
     root, run, _ = trained
-    ckpt, vocab = str(run / "checkpoint_final.bin"), str(run / "vocab.txt")
+    ckpt = str(run / "checkpoint_final.bin")
     rows = [f"{s},{len(s)}" for s in (root / "corpus.smiles").read_text().splitlines()[:60]]
     rows += ["not_a_molecule,1.0", "CCO,"]  # dropped: unparsable, and no label
     calls = []
     parse = propeval.parse_smiles
     monkeypatch.setattr(propeval, "parse_smiles", lambda text: calls.append(text) or parse(text))
-    assert main(_eval_prop(ckpt, vocab, root, tmp_path, rows=rows)) == 0
+    assert main(_eval_prop(ckpt, root, tmp_path, rows=rows)) == 0
     assert len(calls) == len(rows) == 62
     # Embedding from the loader's graphs gives the result parsing each text would.
     manifest = propeval.TaskManifest.load(tmp_path / "task.manifest")
     unparsed = dataclasses.replace(propeval.load_dataset(tmp_path / "data.csv", manifest), graphs=())
-    config, params = load_params(ckpt)
-    result = propeval.evaluate_dataset(unparsed, params, config, load_vocab(vocab),
+    config, params, vocab, _ = load_model(ckpt)
+    result = propeval.evaluate_dataset(unparsed, params, config, vocab,
                                        checkpoint_id=Path(ckpt).name)
     assert result.to_json() == (tmp_path / "prop" / "property_result.json").read_text()
+
+
+def test_train_reads_corpus_once(trained, tmp_path, monkeypatch):
+    from moldae import training
+
+    root, _, _ = trained
+    calls = []
+    load = training.load_token_corpus
+    monkeypatch.setattr(training, "load_token_corpus", lambda *a: calls.append(a) or load(*a))
+    assert main(["train", "--corpus", str(root / "corpus.selfies"), "--out-dir", str(tmp_path / "t"),
+                 "--config", str(root / "train.config"), "--set", "steps=2"]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["generate", "embed", "eval-prop"])
+def test_model_commands_read_checkpoint_once(command, trained, tmp_path, monkeypatch):
+    from moldae import training
+
+    root, run, _ = trained
+    calls = []
+    load = training.load_checkpoint
+    monkeypatch.setattr(training, "load_checkpoint", lambda path: calls.append(path) or load(path))
+    ckpt = str(run / "checkpoint_final.bin")
+    argv = {"generate": _generate(ckpt, str(tmp_path / "gen")),
+            "embed": _embed(ckpt, root, str(tmp_path / "e.csv")) + ["--lenient"],
+            "eval-prop": _eval_prop(ckpt, root, tmp_path)}[command]
+    assert main(argv) == 0
+    assert calls == [ckpt]
 
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["generate", "--help"]) == 0
     assert "usage: moldae" in capsys.readouterr().out
-
-
-def test_vocab_checkpoint_mismatch_writes_nothing(trained, tmp_path, capsys):
-    root, run, _ = trained
-    assert len((run / "vocab.txt").read_text().splitlines()) > 30
-    vocab = _short_vocab(run, tmp_path)
-    assert main(_generate(str(run / "checkpoint_final.bin"), vocab, str(tmp_path / "gen"))) == 2
-    assert main(_embed(str(run / "checkpoint_final.bin"), vocab, root, str(tmp_path / "e.csv"))) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 and all(line.startswith("error: ") and "vocab30.txt" in line for line in err)
-    assert not list(tmp_path.glob("gen/generated.*"))
-    assert not list(tmp_path.glob("e.csv*"))
 
 
 def test_recursion_limit_line_is_a_reject(trained, tmp_path):
@@ -439,8 +495,7 @@ def test_recursion_limit_line_is_a_reject(trained, tmp_path):
     assert out.read_text().split("\n")[:2] == ["[C][C][O]", ""]
     assert main(["convert", "--input", src, "--output", str(out), "--lenient"]) == 0
     emb = tmp_path / "emb.csv"
-    argv = ["embed", "--checkpoint", str(run / "checkpoint_final.bin"), "--vocab",
-            str(run / "vocab.txt"), "--input", src, "--output", str(emb)]
+    argv = ["embed", "--checkpoint", str(run / "checkpoint_final.bin"), "--input", src, "--output", str(emb)]
     assert main(argv) == 1
     assert (tmp_path / "emb.csv.rejects").read_text().startswith("2\t")
     assert emb.read_text().split("\n")[1] == ""
@@ -456,8 +511,8 @@ def test_reject_reasons_counted_by_type(trained, tmp_path):
     assert json.loads((tmp_path / "out.selfies.rejects.json").read_text()) == {
         "lines": 6, "rejected": 2, "by_type": {"RecursionError": 1, "SmilesParseError": 1}}
     emb = tmp_path / "emb.csv"
-    assert main(["embed", "--checkpoint", str(run / "checkpoint_final.bin"), "--vocab",
-                 str(run / "vocab.txt"), "--input", src, "--output", str(emb)]) == 1
+    assert main(["embed", "--checkpoint", str(run / "checkpoint_final.bin"),
+                 "--input", src, "--output", str(emb)]) == 1
     counts = json.loads((tmp_path / "emb.csv.rejects.json").read_text())
     assert counts == {"lines": 6, "rejected": 3,
                       "by_type": {"RecursionError": 1, "SmilesParseError": 1, "ValueError": 1}}
@@ -472,13 +527,13 @@ def test_reject_reasons_counted_by_type(trained, tmp_path):
 
 def test_eval_prop_drops_too_deep_molecule(trained, tmp_path):
     root, run, _ = trained
-    ckpt, vocab = str(run / "checkpoint_final.bin"), str(run / "vocab.txt")
+    ckpt = str(run / "checkpoint_final.bin")
     rows = [f"{s},{len(s)}" for s in (root / "corpus.smiles").read_text().splitlines()[:40]]
     results = []
     for tag, extra in (("plain", []), ("chain", [f"{CHAIN},3000"])):
         tmp = tmp_path / tag
         tmp.mkdir()
-        assert main(_eval_prop(ckpt, vocab, root, tmp, rows=rows[:20] + extra + rows[20:])) == 0
+        assert main(_eval_prop(ckpt, root, tmp, rows=rows[:20] + extra + rows[20:])) == 0
         results.append(json.loads((tmp / "prop" / "property_result.json").read_text()))
     plain, chain = results
     assert chain["dropped_rows"] == plain["dropped_rows"] + 1
@@ -492,8 +547,7 @@ def test_process_exit_code_without_traceback(trained, tmp_path):
 
     _, run, _ = trained
     env = dict(os.environ, PYTHONPATH=str(Path(moldae.__file__).parents[1]))
-    argv = _generate(str(run / "checkpoint_final.bin"), str(run / "vocab.txt"),
-                     _below_file(tmp_path, "gen"))
+    argv = _generate(str(run / "checkpoint_final.bin"), _below_file(tmp_path, "gen"))
     proc = subprocess.run([sys.executable, "-m", "moldae", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr

@@ -1,5 +1,7 @@
 """Training loop: convergence, checkpoint resume determinism, guards."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from moldae.selfies import split_selfies
 from moldae.tokenizer import build_vocab
 from moldae.training import (
     TrainLog, TrainSettings, TrainingDivergedError, StepRecord,
-    load_token_corpus, tagged_rng, train,
+    load_meta, load_model, load_params, load_token_corpus, resume_tensors, tagged_rng, train,
 )
 
 TINY = dict(d_model=16, n_heads=2, encoder_layers=1, decoder_layers=1, ff_width=32, max_len=24)
@@ -97,14 +99,19 @@ def test_checkpoint_container_roundtrip(tmp_path):
     tensors = {
         "a.weight": np.arange(12, dtype=np.float32).reshape(3, 4),
         "b": np.float32(3.5) * np.ones((), dtype=np.float32),
+        "c": np.asarray([1 / 3, np.pi, 1e-300], dtype=np.float64),
+        "d": np.frombuffer("<pad>\nü\n".encode(), dtype=np.uint8),
     }
     path = tmp_path / "model.bin"
     save_checkpoint(path, config, tensors)
     config2, loaded = load_checkpoint(path)
     assert config2 == config
     assert set(loaded) == set(tensors)
-    assert np.array_equal(loaded["a.weight"], tensors["a.weight"])
-    assert loaded["b"].shape == ()
+    for name, arr in tensors.items():
+        assert loaded[name].dtype == arr.dtype and loaded[name].shape == arr.shape, name
+        assert loaded[name].tobytes() == arr.tobytes(), name
+    with pytest.raises(CheckpointError, match="cannot store dtype int64"):
+        save_checkpoint(tmp_path / "int.bin", config, {"i": np.arange(3)})
     with pytest.raises(CheckpointError):
         path2 = tmp_path / "bad.bin"
         path2.write_bytes(b"not a checkpoint")
@@ -115,21 +122,93 @@ def test_checkpoint_container_roundtrip(tmp_path):
         load_checkpoint(truncated)
 
 
-def test_resume_reproduces_uninterrupted_run(tmp_path, tiny_corpus_file, tiny_vocab):
-    config = ModelConfig(vocab_size=len(tiny_vocab), **TINY)
+def test_format_1_checkpoint_still_loads():
+    """The bench fixture is a format-1 file: float32 tensors without dtype bytes."""
+    fixture = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "model.bin"
+    assert fixture.read_bytes()[8:12] == (1).to_bytes(4, "little")
+    config, params = load_params(fixture)
+    assert params["tok_emb"].data.shape == (config.vocab_size, config.d_model)
+    assert all(p.data.dtype == np.float32 for p in params.values())
+    meta = load_meta(fixture)
+    assert set(meta) == {"meta.length_hist"} and meta["meta.length_hist"].sum() > 0
+
+
+def test_failed_write_keeps_previous_checkpoint(tmp_path):
+    class DiskFull:
+        def __array__(self, dtype=None, copy=None):
+            raise OSError("no space left on device")
+
+    config = ModelConfig(vocab_size=10, **TINY)
+    path = tmp_path / "checkpoint_final.bin"
+    save_checkpoint(path, config, {"a": np.ones(3, dtype=np.float32)})
+    before = path.read_bytes()
+    # "a" is written, then converting "b" fails partway through the file.
+    with pytest.raises(OSError, match="no space left"):
+        save_checkpoint(path, config, {"a": np.zeros(1000, dtype=np.float32), "b": DiskFull()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint_final.bin"]
+
+
+def _assert_resume_reproduces_uninterrupted_run(tmp_path, corpus, vocab, settings):
+    config = ModelConfig(vocab_size=len(vocab), **TINY)
     full_dir = tmp_path / "full"
-    settings = TrainSettings(steps=30, batch_size=16, seed=3, checkpoint_interval=15)
-    _, full_log = train(tiny_corpus_file, tiny_vocab, config, settings, out_dir=full_dir)
+    _, full_log = train(corpus, vocab, config, settings, out_dir=full_dir)
 
     resumed_dir = tmp_path / "resumed"
-    _, resumed_log = train(tiny_corpus_file, tiny_vocab, config, settings,
+    _, resumed_log = train(corpus, vocab, config, settings,
                            out_dir=resumed_dir, resume_from=full_dir / "checkpoint_000015.bin")
     tail = {r.step: (r.loss, r.masked_acc) for r in full_log.steps if r.step >= 15}
+    assert [r.step for r in resumed_log.steps] == sorted(tail)
     for r in resumed_log.steps:
         assert tail[r.step] == (r.loss, r.masked_acc), r.step
     # final checkpoints byte-identical
     assert (full_dir / "checkpoint_final.bin").read_bytes() == \
         (resumed_dir / "checkpoint_final.bin").read_bytes()
+
+
+def test_resume_reproduces_uninterrupted_run(tmp_path, tiny_corpus_file, tiny_vocab):
+    settings = TrainSettings(steps=30, batch_size=16, seed=3, checkpoint_interval=15)
+    _assert_resume_reproduces_uninterrupted_run(tmp_path, tiny_corpus_file, tiny_vocab, settings)
+
+
+def test_float64_resume_reproduces_uninterrupted_run(tmp_path, tiny_corpus_file, tiny_vocab):
+    """float64 checkpoints store float64 values, so the resumed run does not round to float32."""
+    settings = TrainSettings(steps=30, batch_size=16, seed=3, checkpoint_interval=15, dtype="float64")
+    _assert_resume_reproduces_uninterrupted_run(tmp_path, tiny_corpus_file, tiny_vocab, settings)
+    _, tensors = load_checkpoint(tmp_path / "full" / "checkpoint_final.bin")
+    assert tensors["tok_emb"].dtype == tensors["adam.m.tok_emb"].dtype == np.float64
+
+
+def test_resume_names_every_differing_setting(tmp_path, tiny_corpus_file, tiny_vocab):
+    config = ModelConfig(vocab_size=len(tiny_vocab), **TINY)
+    settings = TrainSettings(steps=4, batch_size=16, seed=0)
+    train(tiny_corpus_file, tiny_vocab, config, settings, out_dir=tmp_path)
+    ckpt = tmp_path / "checkpoint_final.bin"
+    assert resume_tensors(ckpt, config, tiny_vocab, settings)["meta.step"][0] == 4
+    other = TrainSettings(steps=8, batch_size=16, seed=0, mask_rate=0.2)
+    with pytest.raises(CheckpointError, match=r"mask_rate 0\.15 -> 0\.2, steps 4 -> 8$"):
+        resume_tensors(ckpt, config, tiny_vocab, other)
+    shuffled = build_vocab([split_selfies(l) for l in reversed(tiny_corpus_file.read_text().splitlines())])
+    assert len(shuffled) == len(tiny_vocab) and shuffled != tiny_vocab
+    with pytest.raises(CheckpointError, match="vocabulary differs"):
+        resume_tensors(ckpt, config, shuffled, settings)
+
+
+@pytest.mark.parametrize("name, data", [("meta.settings", b"{not json"), ("meta.settings", b"[1]"),
+                                        ("meta.settings", b"\xff"), ("meta.vocab", b"\xff\xfe")])
+def test_unreadable_meta_is_a_checkpoint_error(name, data, tmp_path, tiny_corpus_file, tiny_vocab):
+    config = ModelConfig(vocab_size=len(tiny_vocab), **TINY)
+    settings = TrainSettings(steps=2, batch_size=16, seed=0)
+    train(tiny_corpus_file, tiny_vocab, config, settings, out_dir=tmp_path)
+    _, tensors = load_checkpoint(tmp_path / "checkpoint_final.bin")
+    tensors[name] = np.frombuffer(data, dtype=np.uint8)
+    bad = tmp_path / "bad.bin"
+    save_checkpoint(bad, config, tensors)
+    with pytest.raises(CheckpointError, match=f"bad.bin: unreadable {name}"):
+        if name == "meta.vocab":
+            load_model(bad)
+        else:
+            resume_tensors(bad, config, tiny_vocab, settings)
 
 
 def test_mask_rate_zero_is_pure_copy_task(tiny_corpus_file, tiny_vocab):

@@ -23,7 +23,7 @@ form, is the one the full search gives.
 from __future__ import annotations
 
 from .elements import ORGANIC_SUBSET, SUPPORTED_ELEMENTS, implicit_fill
-from .graph import GraphError, MolecularGraph
+from .graph import GraphError, MolecularGraph, depth_first
 
 # A canonical SMILES is plain text; the alias marks intent at API boundaries.
 CanonicalSmiles = str
@@ -60,47 +60,17 @@ def _atom_text(graph: MolecularGraph, idx: int) -> str:
 
 def _serialize(graph: MolecularGraph, rank: list[int]) -> str:
     """Emit SMILES with traversal fully determined by the atom ranking."""
-    adj = graph.neighbors()
-    order_of = {}
-    for a, b, o in graph.bonds:
-        order_of[(a, b)] = o
-        order_of[(b, a)] = o
-    nbrs_by_rank = [sorted((n for n, _ in neighbor), key=lambda i: rank[i]) for neighbor in adj]
-
-    root = min(range(len(graph.atoms)), key=lambda i: rank[i])
-
-    # Pass 1: depth-first discovery of the spanning tree and ring (back) edges.
-    visited: set[int] = set()
-    used: set[tuple[int, int]] = set()
-    tree: dict[int, list[int]] = {i: [] for i in range(len(graph.atoms))}
-    ring_bonds: dict[int, list[int]] = {i: [] for i in range(len(graph.atoms))}
-    visit_pos: dict[int, int] = {}
-
-    def explore(node: int) -> None:
-        visited.add(node)
-        visit_pos[node] = len(visit_pos)
-        for nbr in nbrs_by_rank[node]:
-            key = (min(node, nbr), max(node, nbr))
-            if key in used:
-                continue
-            used.add(key)
-            if nbr in visited:
-                ring_bonds[node].append(nbr)
-                ring_bonds[nbr].append(node)
-            else:
-                tree[node].append(nbr)
-                explore(nbr)
-
-    explore(root)
-
-    # Pass 2: emission; ring-closure digits open at the earlier-visited endpoint.
+    tree = depth_first(graph, rank)
+    # Ring-closure digits open at the earlier-visited endpoint, lowest free first.
     closure_num: dict[tuple[int, int], int] = {}
     free_nums = list(range(1, 100))
     out: list[str] = []
-
-    def emit(node: int) -> None:
+    stack = [("", tree.order[0])]  # (text before the atom: bond, branch parentheses)
+    while stack:
+        prefix, node = stack.pop()
+        out.append(prefix)
         out.append(_atom_text(graph, node))
-        for other in sorted(ring_bonds[node], key=lambda i: visit_pos[i]):
+        for other, order in sorted(tree.rings[node], key=lambda edge: tree.pos[edge[0]]):
             key = (min(node, other), max(node, other))
             if key not in closure_num:
                 num = free_nums.pop(0)
@@ -109,19 +79,13 @@ def _serialize(graph: MolecularGraph, rank: list[int]) -> str:
                 num = closure_num[key]
                 free_nums.insert(0, num)
                 free_nums.sort()
-            out.append(_BOND_CHAR[order_of[(node, other)]] + (str(num) if num <= 9 else f"%{num:02d}"))
-        children = tree[node]
-        for i, child in enumerate(children):
-            bond = _BOND_CHAR[order_of[(node, child)]]
-            if i < len(children) - 1:
-                out.append("(" + bond)
-                emit(child)
-                out.append(")")
-            else:
-                out.append(bond)
-                emit(child)
-
-    emit(root)
+            out.append(_BOND_CHAR[order] + (str(num) if num <= 9 else f"%{num:02d}"))
+        # Every child but the last is a parenthesized branch; the next sibling
+        # closes the branch before it.
+        last = len(tree.children[node]) - 1
+        for i in range(last, -1, -1):
+            child, order = tree.children[node][i]
+            stack.append(((")" if i else "") + ("(" if i < last else "") + _BOND_CHAR[order], child))
     return "".join(out)
 
 

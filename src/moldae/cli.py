@@ -19,8 +19,8 @@ exception classes match wins, and main prints `error: <message>` to stderr:
   1  domain: TrainingDivergedError, RecursionError, ValueError (every other
      moldae error: bad molecule, grammar or metric input, generate
      --max-len below 2)
-  0  ok; a molecule that cannot be processed (bad input, or too deep:
-     RecursionError) does not end a run: convert and embed write it as a
+  0  ok; a molecule that cannot be processed (one of propeval.REJECTS) does
+     not end a run: convert and embed write it as a
      blank line plus a `<lineno>\t<reason>` row of <output>.rejects and
      return 1 unless --lenient is given; eval-prop drops and counts it
 

@@ -1,4 +1,4 @@
-"""Molecular graph type, validation, and permutation helpers.
+"""Molecular graph type, validation, the depth-first spanning tree, and relabeling.
 
 A MolecularGraph is an immutable connected multigraph-free graph: atoms with
 element / formal charge / optional pinned hydrogen count, and bonds with
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .elements import MAX_VALENCE, SUPPORTED_ELEMENTS, implicit_fill
 
@@ -69,6 +70,56 @@ class MolecularGraph:
         return adj
 
 
+class SpanningTree(NamedTuple):
+    """A depth-first spanning tree; every bond is a tree edge or a ring bond.
+
+    order lists the atoms in visit order and pos[atom] is the atom's index in
+    it. children[atom] and rings[atom] hold (atom, bond order) pairs in rank
+    order: the atom's tree children, and the partners of its ring bonds (the
+    bonds outside the tree), whether visited before it or after.
+    """
+
+    order: list[int]
+    pos: list[int]
+    children: list[list[tuple[int, int]]]
+    rings: list[list[tuple[int, int]]]
+
+
+def depth_first(graph: MolecularGraph, rank: list[int]) -> SpanningTree:
+    """Walk a non-empty graph depth first from its lowest-ranked atom.
+
+    Each atom tries its neighbours in rank order and descends into the first
+    one not yet visited. The walk keeps an explicit stack, so its depth is not
+    bounded by the interpreter's recursion limit. Atoms it cannot reach keep
+    pos -1.
+    """
+    n = len(graph.atoms)
+    adj = [sorted(nbrs, key=lambda edge: rank[edge[0]]) for nbrs in graph.neighbors()]
+    root = min(range(n), key=rank.__getitem__)
+    parent = [-1] * n
+    pos = [-1] * n
+    pos[root] = 0
+    order = [root]
+    stack = [(root, iter(adj[root]))]
+    while stack:
+        node, untried = stack[-1]
+        for nbr, _ in untried:
+            if pos[nbr] < 0:
+                parent[nbr] = node
+                pos[nbr] = len(order)
+                order.append(nbr)
+                stack.append((nbr, iter(adj[nbr])))
+                break
+        else:
+            stack.pop()
+    # An undirected depth-first walk leaves no cross edges: a bond that is not
+    # a tree edge joins an atom to one of its ancestors.
+    children = [[edge for edge in adj[v] if parent[edge[0]] == v] for v in range(n)]
+    rings = [[edge for edge in adj[v] if parent[edge[0]] != v and parent[v] != edge[0]]
+             for v in range(n)]
+    return SpanningTree(order, pos, children, rings)
+
+
 def validate(graph: MolecularGraph) -> MolecularGraph:
     """Check every MolecularGraph invariant; return the graph unchanged.
 
@@ -93,18 +144,8 @@ def validate(graph: MolecularGraph) -> MolecularGraph:
         if pair in seen_pairs:
             raise GraphError(f"duplicate bond between atoms {pair[0]} and {pair[1]}")
         seen_pairs.add(pair)
-    if n > 1:
-        adj = graph.neighbors()
-        seen = {0}
-        stack = [0]
-        while stack:
-            cur = stack.pop()
-            for nbr, _ in adj[cur]:
-                if nbr not in seen:
-                    seen.add(nbr)
-                    stack.append(nbr)
-        if len(seen) != n:
-            raise GraphError("graph is disconnected")
+    if n > 1 and -1 in depth_first(graph, list(range(n))).pos:
+        raise GraphError("graph is disconnected")
     for idx, atom in enumerate(graph.atoms):
         used = graph.bond_sum(idx) + (atom.hcount or 0)
         if used > MAX_VALENCE[atom.element]:

@@ -154,15 +154,18 @@ def split(dataset: PropertyDataset, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> Sp
     return SplitAssignment(tuple(folds), seed, ratios)
 
 
-REJECTS = (ValueError, RecursionError)  # what one bad molecule raises; the run goes on
+# What one bad molecule raises; the run goes on. RecursionError stays a reject
+# as a guard: canonicalize's individualization search and the token decoder's
+# branch nesting (at most 834 levels) still recurse.
+REJECTS = (ValueError, RecursionError)
 
 
 def embed_smiles(text: str, params, config: ModelConfig, vocab: Vocabulary) -> np.ndarray:
     """Embedding row of one SMILES text: parse, grammar-encode, map to ids, embed.
 
     A molecule that cannot be embedded raises one of REJECTS, whose message is
-    the reason: a parse, valence or alphabet error, a sequence over max_len,
-    or a molecule too deep to process (RecursionError).
+    the reason: a parse, valence or alphabet error, or a sequence over
+    max_len.
     """
     return embed_graph(parse_smiles(text), params, config, vocab)
 

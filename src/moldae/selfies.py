@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import MAX_VALENCE, SUPPORTED_ELEMENTS
-from .graph import Atom, MolecularGraph, validate
+from .graph import Atom, MolecularGraph, depth_first, validate
 
 _ORDER_PREFIX = {"": 1, "=": 2, "#": 3}
 _PREFIX_OF_ORDER = {1: "", 2: "=", 3: "#"}
@@ -260,51 +260,32 @@ def encode(graph: MolecularGraph) -> tuple[SelfiesToken, ...]:
     if not graph.atoms:
         return ()
 
-    adj = graph.neighbors()
-    order_of = {}
-    for a, b, o in graph.bonds:
-        order_of[(a, b)] = o
-        order_of[(b, a)] = o
-
-    visited: set[int] = set()
-    used: set[tuple[int, int]] = set()
-    placement: dict[int, int] = {}
-
-    def walk(node: int, bond_order: int) -> list[SelfiesToken]:
-        visited.add(node)
-        placement[node] = len(placement)
-        out = [_atom_token(bond_order, graph.atoms[node].element)]
-        # Ring closures back to already-placed atoms come right after the atom
-        # token, while the decoder's chain head is still this atom.
-        for nbr in sorted(n for n, _ in adj[node]):
-            key = (min(node, nbr), max(node, nbr))
-            if key in used or nbr not in visited:
-                continue
-            used.add(key)
-            k, operands = _operand_tokens(placement[node] - placement[nbr] - 1)
-            order = order_of[(node, nbr)]
-            out.append(TOKENS_BY_TEXT[f"[{_PREFIX_OF_ORDER[order]}Ring{k}]"])
-            out.extend(operands)
-        # Remaining unused edges are walked as subtrees; an edge consumed as a
-        # ring closure inside an earlier sibling's subtree is skipped here.
-        bodies: list[tuple[int, list[SelfiesToken]]] = []
-        for nbr in sorted(n for n, _ in adj[node]):
-            key = (min(node, nbr), max(node, nbr))
-            if key in used:
-                continue
-            assert nbr not in visited, "unused edge to a visited atom"
-            used.add(key)
-            order = order_of[(node, nbr)]
-            bodies.append((order, walk(nbr, order)))
-        for i, (order, body) in enumerate(bodies):
-            if i < len(bodies) - 1:
-                k, operands = _operand_tokens(len(body) - 1)
-                out.append(TOKENS_BY_TEXT[f"[{_PREFIX_OF_ORDER[order]}Branch{k}]"])
-                out.extend(operands)
-            out.extend(body)
-        return out
-
-    tokens = walk(0, 1)
+    tree = depth_first(graph, list(range(len(graph.atoms))))
+    pos = tree.pos
+    # Ring closures back to atoms placed earlier come right after the atom
+    # token, while the decoder's chain head is still this atom. Each child but
+    # the last opens with a branch token whose operand is its subtree's length,
+    # so subtree lengths are counted leaves first.
+    closures: list[list[SelfiesToken]] = [[] for _ in graph.atoms]
+    opening: list[list[SelfiesToken]] = [[] for _ in graph.atoms]
+    size = [0] * len(graph.atoms)  # tokens of an atom's subtree, its opening excluded
+    for node in reversed(tree.order):
+        for other, order in tree.rings[node]:
+            if pos[other] < pos[node]:
+                k, operands = _operand_tokens(pos[node] - pos[other] - 1)
+                closures[node] += [TOKENS_BY_TEXT[f"[{_PREFIX_OF_ORDER[order]}Ring{k}]"], *operands]
+        for child, order in tree.children[node][:-1]:
+            k, operands = _operand_tokens(size[child] - 1)
+            opening[child] = [TOKENS_BY_TEXT[f"[{_PREFIX_OF_ORDER[order]}Branch{k}]"], *operands]
+        size[node] = 1 + len(closures[node]) + sum(len(opening[c]) + size[c] for c, _ in tree.children[node])
+    tokens: list[SelfiesToken] = []
+    stack = [(tree.order[0], 1)]
+    while stack:
+        node, order = stack.pop()
+        tokens += opening[node]
+        tokens.append(_atom_token(order, graph.atoms[node].element))
+        tokens += closures[node]
+        stack.extend(reversed(tree.children[node]))
     return tuple(tokens)
 
 

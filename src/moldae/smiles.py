@@ -9,6 +9,8 @@ multi-fragment input.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .elements import AROMATIC_SYMBOLS
 from .graph import Atom, GraphError, MolecularGraph, validate
 
@@ -293,28 +295,29 @@ def _kekulize(atoms: list[_ParsedAtom], bonds: dict[tuple[int, int], int]) -> No
         return False  # O, S donate a lone pair
 
     needy = sorted(i for i, a in enumerate(atoms) if a.aromatic and needs_double(i))
+    partners = {u: [v for v in sorted(adj.get(u, [])) if needs_double(v)] for u in needy}
     match: dict[int, int] = {}
-
-    def backtrack(pos: int) -> bool:
+    # Depth-first search for a perfect matching, needy atoms and their
+    # partners in index order, on an explicit stack: one frame (needy
+    # position, partners not yet tried) per atom matched so far.
+    frames: list[tuple[int, Iterator[int]]] = []
+    pos = 0
+    while True:
         while pos < len(needy) and needy[pos] in match:
             pos += 1
         if pos == len(needy):
-            return True
-        u = needy[pos]
-        for v in sorted(adj.get(u, [])):
-            if v in match or not needs_double(v):
-                continue
-            match[u] = v
-            match[v] = u
-            if backtrack(pos + 1):
-                return True
-            del match[u]
-            del match[v]
-        return False
-
-    if not backtrack(0):
-        bad = needy[0] if needy else next(i for i, a in enumerate(atoms) if a.aromatic)
-        raise KekulizationError("aromatic ring cannot be kekulized", atoms[bad].pos)
+            break
+        untried = iter(partners[needy[pos]])
+        while (v := next(untried, -1)) < 0 or v in match:
+            if v < 0:  # no partner left: undo the latest match and try its next partner
+                if not frames:
+                    raise KekulizationError("aromatic ring cannot be kekulized", atoms[needy[0]].pos)
+                pos, untried = frames.pop()
+                del match[match.pop(needy[pos])]
+        match[needy[pos]] = v
+        match[v] = needy[pos]
+        frames.append((pos, untried))
+        pos += 1
 
     for a, b in aromatic_bonds:
         if match.get(a) == b:

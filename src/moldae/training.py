@@ -59,7 +59,6 @@ class StepRecord:
 @dataclass
 class TrainLog:
     steps: list[StepRecord] = field(default_factory=list)
-    epochs: list[tuple[int, float, float]] = field(default_factory=list)  # (epoch, loss, acc)
     skipped_too_long: int = 0
 
     def add(self, record: StepRecord) -> None:
@@ -210,25 +209,14 @@ def train(
         return np.concatenate(chunks)
 
     batches_per_epoch = (len(sequences) + settings.batch_size - 1) // settings.batch_size
-    epoch_losses: list[float] = []
-    epoch_accs: list[float] = []
     order = None
     current_epoch = -1
     started = time.perf_counter()
     drop_rng = None
 
-    def close_epoch() -> None:
-        nonlocal epoch_losses, epoch_accs
-        if not epoch_losses:
-            return
-        acc = float(np.nanmean(epoch_accs)) if np.isfinite(epoch_accs).any() else float("nan")
-        log.epochs.append((current_epoch, float(np.mean(epoch_losses)), acc))
-        epoch_losses, epoch_accs = [], []
-
     for step in range(start_step, settings.steps):
         epoch = step // batches_per_epoch
         if epoch != current_epoch:
-            close_epoch()
             current_epoch = epoch
             order = epoch_order(epoch)
         pos = step % batches_per_epoch
@@ -252,13 +240,10 @@ def train(
         optimizer.step(params, _learning_rate(step, settings))
 
         log.add(StepRecord(step, loss_value, masked_acc, time.perf_counter() - started))
-        epoch_losses.append(loss_value)
-        epoch_accs.append(masked_acc)
 
         if settings.checkpoint_interval and (step + 1) % settings.checkpoint_interval == 0:
             write_ckpt(f"checkpoint_{step + 1:06d}.bin", step + 1)
 
-    close_epoch()
     write_ckpt("checkpoint_final.bin", settings.steps)
     if out is not None:
         log.write_csv(out / "trainlog.csv")

@@ -252,7 +252,7 @@ def test_full_pipeline_byte_identical(tmp_path):
         assert outputs[0][key] == outputs[1][key], key
 
 
-CHAIN = "C" * 3000  # deep enough to exhaust the interpreter's recursion limit
+CHAIN = "C" * 3000  # deeper than the interpreter's recursion limit, far over any model's max_len
 
 
 def _truncated(run, tmp, size):
@@ -378,9 +378,6 @@ FAILURES = {
     "generate-max-len-below-2": (lambda run, root, tmp: _generate(
         str(run / "checkpoint_final.bin"), str(tmp / "gen")) + ["--max-len", "1"],
         1, "max_len must be >= 2"),
-    "convert-3000-atom-chain": (lambda run, root, tmp: [
-        "convert", "--input", _write(tmp, "chain.smiles", CHAIN + "\n"),
-        "--output", str(tmp / "chain.selfies")], 1, ""),
     "eval-gen-bad-training-molecule": (lambda run, root, tmp: [
         "eval-gen", "--generated", _write(tmp, "gen.selfies", "[C][C][O]\n"),
         "--training-canon", _write(tmp, "train.smiles", "CCO\nC1CC\n"),
@@ -486,36 +483,40 @@ def test_help_exits_zero(capsys):
     assert "usage: moldae" in capsys.readouterr().out
 
 
-def test_recursion_limit_line_is_a_reject(trained, tmp_path):
+def test_deep_chain_converts_and_embed_rejects_it_as_over_max_len(trained, tmp_path):
     root, run, _ = trained
     src = _write(tmp_path, "in.smiles", f"CCO\n{CHAIN}\n")
     out = tmp_path / "out.selfies"
-    assert main(["convert", "--input", src, "--output", str(out)]) == 1
-    assert (tmp_path / "out.selfies.rejects").read_text().startswith("2\t")
-    assert out.read_text().split("\n")[:2] == ["[C][C][O]", ""]
-    assert main(["convert", "--input", src, "--output", str(out), "--lenient"]) == 0
+    assert main(["convert", "--input", src, "--output", str(out)]) == 0
+    assert out.read_text().split("\n")[:2] == ["[C][C][O]", "[C]" * 3000]
+    back = tmp_path / "back.smiles"
+    assert main(["convert", "--direction", "selfies-to-smiles",
+                 "--input", str(out), "--output", str(back)]) == 0
+    assert back.read_text().split("\n")[:2] == ["CCO", CHAIN]
     emb = tmp_path / "emb.csv"
     argv = ["embed", "--checkpoint", str(run / "checkpoint_final.bin"), "--input", src, "--output", str(emb)]
     assert main(argv) == 1
     assert (tmp_path / "emb.csv.rejects").read_text().startswith("2\t")
+    assert "exceeds max_len" in (tmp_path / "emb.csv.rejects").read_text()
+    assert json.loads((tmp_path / "emb.csv.rejects.json").read_text())["by_type"] == {"ValueError": 1}
     assert emb.read_text().split("\n")[1] == ""
     assert main(argv + ["--lenient"]) == 0
 
 
 def test_reject_reasons_counted_by_type(trained, tmp_path):
-    """<output>.rejects.json counts a bad SMILES, an over-length line and a too-deep chain by type."""
+    """<output>.rejects.json counts a bad SMILES and two lines over max_len by type."""
     root, run, _ = trained
     src = _write(tmp_path, "mixed.smiles", f"CCO\nC1CC\n\n{'C' * 40}\n{CHAIN}\nCCN\n")
     out = tmp_path / "out.selfies"
     assert main(["convert", "--input", src, "--output", str(out)]) == 1
     assert json.loads((tmp_path / "out.selfies.rejects.json").read_text()) == {
-        "lines": 6, "rejected": 2, "by_type": {"RecursionError": 1, "SmilesParseError": 1}}
+        "lines": 6, "rejected": 1, "by_type": {"SmilesParseError": 1}}
     emb = tmp_path / "emb.csv"
     assert main(["embed", "--checkpoint", str(run / "checkpoint_final.bin"),
                  "--input", src, "--output", str(emb)]) == 1
     counts = json.loads((tmp_path / "emb.csv.rejects.json").read_text())
     assert counts == {"lines": 6, "rejected": 3,
-                      "by_type": {"RecursionError": 1, "SmilesParseError": 1, "ValueError": 1}}
+                      "by_type": {"SmilesParseError": 1, "ValueError": 2}}
     reasons = (tmp_path / "emb.csv.rejects").read_text().splitlines()
     assert [r.split("\t")[0] for r in reasons] == ["2", "4", "5"]
     assert "exceeds max_len" in reasons[1]

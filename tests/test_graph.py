@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moldae.canon import _dense, _initial_ranks, _refine, _serialize, canonicalize
+from moldae import selfies as sf
+from moldae.canon import (_BOND_CHAR, _atom_text, _dense, _initial_ranks, _refine, _serialize, canonicalize,
+                          write_smiles)
 from moldae.corpus import sample_corpus
 from moldae.graph import Atom, GraphError, MolecularGraph, ValenceError, permute, validate
 from moldae.smiles import parse_smiles
@@ -204,6 +206,136 @@ def test_pruned_search_equals_exhaustive_search():
             assert canonicalize(relabeled) == expected, expected
 
 
+def recursive_serialize(graph: MolecularGraph, rank: list[int]) -> str:
+    """Reference: the SMILES writer as two recursive passes, discovery then emission."""
+    adj = graph.neighbors()
+    order_of = {}
+    for a, b, o in graph.bonds:
+        order_of[(a, b)] = o
+        order_of[(b, a)] = o
+    nbrs_by_rank = [sorted((n for n, _ in neighbor), key=lambda i: rank[i]) for neighbor in adj]
+    root = min(range(len(graph.atoms)), key=lambda i: rank[i])
+    visited: set[int] = set()
+    used: set[tuple[int, int]] = set()
+    tree: dict[int, list[int]] = {i: [] for i in range(len(graph.atoms))}
+    ring_bonds: dict[int, list[int]] = {i: [] for i in range(len(graph.atoms))}
+    visit_pos: dict[int, int] = {}
+
+    def explore(node: int) -> None:
+        visited.add(node)
+        visit_pos[node] = len(visit_pos)
+        for nbr in nbrs_by_rank[node]:
+            key = (min(node, nbr), max(node, nbr))
+            if key in used:
+                continue
+            used.add(key)
+            if nbr in visited:
+                ring_bonds[node].append(nbr)
+                ring_bonds[nbr].append(node)
+            else:
+                tree[node].append(nbr)
+                explore(nbr)
+
+    explore(root)
+    closure_num: dict[tuple[int, int], int] = {}
+    free_nums = list(range(1, 100))
+    out: list[str] = []
+
+    def emit(node: int) -> None:
+        out.append(_atom_text(graph, node))
+        for other in sorted(ring_bonds[node], key=lambda i: visit_pos[i]):
+            key = (min(node, other), max(node, other))
+            if key not in closure_num:
+                num = free_nums.pop(0)
+                closure_num[key] = num
+            else:
+                num = closure_num[key]
+                free_nums.insert(0, num)
+                free_nums.sort()
+            out.append(_BOND_CHAR[order_of[(node, other)]] + (str(num) if num <= 9 else f"%{num:02d}"))
+        children = tree[node]
+        for i, child in enumerate(children):
+            bond = _BOND_CHAR[order_of[(node, child)]]
+            if i < len(children) - 1:
+                out.append("(" + bond)
+                emit(child)
+                out.append(")")
+            else:
+                out.append(bond)
+                emit(child)
+
+    emit(root)
+    return "".join(out)
+
+
+def recursive_encode(graph: MolecularGraph) -> str:
+    """Reference: the token encoder as one recursive walk that returns each subtree's tokens.
+
+    Only for graphs the alphabet can express (`sf.encode` checks charges and
+    pinned hydrogens first).
+    """
+    adj = graph.neighbors()
+    order_of = {}
+    for a, b, o in graph.bonds:
+        order_of[(a, b)] = o
+        order_of[(b, a)] = o
+    visited: set[int] = set()
+    used: set[tuple[int, int]] = set()
+    placement: dict[int, int] = {}
+
+    def walk(node: int, bond_order: int) -> list[str]:
+        visited.add(node)
+        placement[node] = len(placement)
+        out = [f"[{sf._PREFIX_OF_ORDER[bond_order]}{graph.atoms[node].element}]"]
+        for nbr in sorted(n for n, _ in adj[node]):
+            key = (min(node, nbr), max(node, nbr))
+            if key in used or nbr not in visited:
+                continue
+            used.add(key)
+            k, operands = sf._operand_tokens(placement[node] - placement[nbr] - 1)
+            out.append(f"[{sf._PREFIX_OF_ORDER[order_of[(node, nbr)]]}Ring{k}]")
+            out.extend(t.text for t in operands)
+        bodies: list[tuple[int, list[str]]] = []
+        for nbr in sorted(n for n, _ in adj[node]):
+            key = (min(node, nbr), max(node, nbr))
+            if key in used:
+                continue
+            assert nbr not in visited, "unused edge to a visited atom"
+            used.add(key)
+            bodies.append((order_of[(node, nbr)], walk(nbr, order_of[(node, nbr)])))
+        for i, (order, body) in enumerate(bodies):
+            if i < len(bodies) - 1:
+                k, operands = sf._operand_tokens(len(body) - 1)
+                out.append(f"[{sf._PREFIX_OF_ORDER[order]}Branch{k}]")
+                out.extend(t.text for t in operands)
+            out.extend(body)
+        return out
+
+    return "".join(walk(0, 1))
+
+
+def test_writers_equal_recursive_writers():
+    rng = np.random.default_rng(11)
+    graphs = [parse_smiles(s) for s in sample_corpus(500, seed=17)]
+    graphs += [parse_smiles(s) for s in R3CX_SHAPES]
+    graphs += [_regular_carbon_graph(rng, int(n), int(d))
+               for n, d in zip(rng.choice([8, 10, 12, 14], 24), rng.choice([3, 4], 24))]
+    encoded = 0
+    for graph in graphs:
+        for relabeled in [graph] + [permute(graph, list(rng.permutation(len(graph)))) for _ in range(3)]:
+            identity = list(range(len(relabeled)))
+            assert write_smiles(relabeled) == recursive_serialize(relabeled, identity)
+            shuffled = list(rng.permutation(len(relabeled)))
+            assert _serialize(relabeled, shuffled) == recursive_serialize(relabeled, shuffled)
+            try:
+                tokens = sf.encode(relabeled)
+            except sf.EncodeError:
+                continue
+            assert sf.join_tokens(tokens) == recursive_encode(relabeled)
+            encoded += 1
+    assert encoded > 3 * len(graphs)
+
+
 # Each took seconds to minutes with the exhaustive search (over 290 s for the
 # last), so each runs in a child process that the test can time out.
 _BLOWUP_MOLECULES = {
@@ -243,3 +375,43 @@ def test_symmetric_molecule_canonicalizes_within_a_second(name):
     (text, seconds), (copy_text, copy_seconds) = json.loads(proc.stdout)
     assert text == copy_text
     assert seconds < 1.0 and copy_seconds < 1.0, (seconds, copy_seconds)
+
+
+# Deeper than the interpreter's recursion limit: the writers and the Kekulé
+# search raised RecursionError here while they recursed once per atom.
+_DEEP_MOLECULES = {
+    "3000-atom chain": "C" * 3000,
+    "3000-atom aromatic ring": "c1" + "c" * 2998 + "c1",
+}
+
+_TIME_ROUND_TRIP = """
+import json, sys, time
+from moldae.canon import write_smiles
+from moldae.selfies import decode, encode
+from moldae.smiles import parse_smiles
+out = []
+start = time.perf_counter()
+graph = parse_smiles(sys.argv[1])
+out.append(time.perf_counter() - start)
+for step in (lambda: write_smiles(graph), lambda: write_smiles(decode(encode(graph)))):
+    start = time.perf_counter()
+    out.append([step(), time.perf_counter() - start])
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("name", sorted(_DEEP_MOLECULES))
+def test_deep_molecule_round_trips_within_a_second(name):
+    import moldae
+
+    env = dict(os.environ, PYTHONPATH=str(Path(moldae.__file__).parents[1]))
+    try:
+        proc = subprocess.run([sys.executable, "-c", _TIME_ROUND_TRIP, _DEEP_MOLECULES[name]],
+                              env=env, capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{name}: the round trip ran past 60 s")
+    assert proc.returncode == 0, proc.stderr
+    parse_seconds, (written, write_seconds), (round_trip, round_trip_seconds) = json.loads(proc.stdout)
+    assert round_trip == written
+    assert max(parse_seconds, write_seconds, round_trip_seconds) < 1.0, \
+        (parse_seconds, write_seconds, round_trip_seconds)

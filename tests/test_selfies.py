@@ -1,5 +1,8 @@
 """Grammar codec: tokenization, total decoding, encode round-trips, fuzzing."""
 
+import sys
+import traceback
+
 import numpy as np
 import pytest
 
@@ -124,6 +127,36 @@ def test_decode_branch_insufficient_valence_skipped():
     g = decode_text("[C][F][Branch1][C][N]")
     assert len(g) == 2
     assert g.atoms[1].element == "F"
+
+
+def _deepest_branches(length: int) -> list[str]:
+    """`length` tokens of [C][BranchK]<digits> levels, each branch body nested as deep as it fits."""
+    tokens: list[str] = []
+    while length >= 4:
+        k = next(k for k in (1, 2, 3) if length - 3 - k < 16**k)  # smallest operand for the body
+        length -= 2 + k
+        digits = [sf.INDEX_ALPHABET[(length - 1) >> 4 * j & 15] for j in reversed(range(k))]
+        tokens += ["[C]", f"[Branch{k}]", *digits]
+    return tokens + ["[C]"] * length
+
+
+def test_decode_deepest_branch_nesting_within_the_recursion_limit():
+    """_derive recurses once per nested branch. Three operand digits cap a body
+    at 4,096 tokens, so a branch holds at most 833 nested levels and a string
+    at most 834; that decodes under the default limit with 150 frames in use."""
+    tokens = sf.split_selfies("".join(_deepest_branches(5 + 4096)))
+
+    def below(frames: int):
+        return below(frames - 1) if frames > 0 else sf.decode(tokens)
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        g = below(150 - len(traceback.extract_stack()))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(g) == 835  # one carbon per level and the innermost body's
+    assert g.bonds == tuple((i, i + 1, 1) for i in range(834))
 
 
 def test_decode_never_fails_random(rng):

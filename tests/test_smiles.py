@@ -135,6 +135,17 @@ def test_kekulize_failure_rejected():
         parse_smiles("c1ccccc1c")  # dangling aromatic carbon cannot pair up
 
 
+def test_kekulize_ring_deeper_than_the_recursion_limit():
+    g = parse_smiles("c1" + "c" * 2998 + "c1")
+    assert len(g) == 3000
+    doubles = [0] * 3000
+    for a, b, o in g.bonds:
+        if o == 2:
+            doubles[a] += 1
+            doubles[b] += 1
+    assert doubles == [1] * 3000
+
+
 def test_aromatic_vs_kekulized_input_agree():
     assert canonicalize(parse_smiles("c1ccccc1")) == canonicalize(parse_smiles("C1=CC=CC=C1"))
     assert canonicalize(parse_smiles("Cc1ccccc1")) == canonicalize(parse_smiles("CC1=CC=CC=C1"))

@@ -43,7 +43,6 @@ def test_loss_decreases(tiny_corpus_file, tiny_vocab):
     first = np.mean([r.loss for r in log.steps[:5]])
     last = np.mean([r.loss for r in log.steps[-5:]])
     assert last < 0.5 * first
-    assert log.epochs, "epoch aggregates recorded"
 
 
 def test_train_log_invariants():

@@ -5,7 +5,8 @@ the tape in reverse topological order. Only the operations the sequence model
 needs are provided, several of them fused into one tape node with
 hand-derived gradients — the finite-difference test suite checks every one:
 
-- `linear`: (..., d) @ (d, k) + bias as one flat GEMM;
+- `linear`: (..., d) @ (d, k) + bias as one flat GEMM (one GEMM per
+  sequence under `no_grad`, so inference rows are batch-invariant);
 - `attention`: multi-head scaled dot-product attention over projected
   (B, L, d) queries/keys/values, from the head split to the head merge,
   additive mask and softmax included;
@@ -187,12 +188,18 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ b) for x (..., d) and w (d, k), as one flat GEMM over the leading axes.
+    """x @ w (+ b) for x (..., d) and w (d, k); `w` may be a transposed view (the tied output).
 
-    `w` may be a transposed view (the tied output projection).
+    With the tape on, and for decode steps (B, 1, d), the product is one flat
+    GEMM over the leading axes. With the tape off, a (B, L, d) input with L > 1
+    is multiplied as a stack: one GEMM per sequence, M = L, the same call as
+    that sequence alone, so each row's bits do not depend on the rest of the
+    batch (the encoder of `model.embed`).
     """
-    flat = x.data.reshape(-1, x.shape[-1])
-    out_data = flat @ w.data
+    if not _grad_enabled and len(x.shape) == 3 and x.shape[1] > 1:
+        out_data = x.data @ w.data
+    else:
+        out_data = (x.data.reshape(-1, x.shape[-1]) @ w.data).reshape(x.shape[:-1] + (w.shape[1],))
     if b is not None:
         out_data += b.data
 
@@ -201,12 +208,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         if x.requires_grad:
             x.accumulate((g @ w.data.T).reshape(x.shape), owned=True)
         if w.requires_grad:
-            w.accumulate(flat.T @ g, owned=True)
+            w.accumulate(x.data.reshape(-1, x.shape[-1]).T @ g, owned=True)
         if b is not None and b.requires_grad:
             b.accumulate(g.sum(axis=0), owned=True)
 
     parents = (x, w) if b is None else (x, w, b)
-    return _make(out_data.reshape(x.shape[:-1] + (w.shape[1],)), parents, backward)
+    return _make(out_data, parents, backward)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None, n_heads: int) -> Tensor:

@@ -5,11 +5,13 @@ tensor count (u32), then per tensor: name length (u16), name, dtype (u8:
 0 float32, 1 float64, 2 uint8), rank (u8), dims (u32 each), and the values,
 little-endian, in that dtype. Format 1, still readable, has no dtype byte (all
 float32). A write goes to a temporary file that is then renamed over the
-target, so a failed write leaves the previous file intact.
+target, so a failed write leaves the previous file intact; `atomic_write`
+does that for every file the CLI writes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -29,26 +31,43 @@ class CheckpointError(ValueError):
     pass
 
 
-def save_checkpoint(path: str | Path, config: ModelConfig, tensors: dict[str, np.ndarray]) -> None:
+@contextlib.contextmanager
+def atomic_write(path: str | Path, mode: str = "w"):
+    """Open a temporary sibling of `path` for writing; on success rename it over `path`.
+
+    Any error before the rename removes the temporary file, so `path` keeps its
+    previous content and no `.tmp` file is left behind. Text mode is UTF-8.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "wb") as fh:
-            blob = json.dumps(asdict(config), sort_keys=True).encode("utf-8")
-            fh.write(MAGIC + struct.pack("<II", VERSION, len(blob)) + blob + struct.pack("<I", len(tensors)))
-            for name in sorted(tensors):
-                arr = np.asarray(tensors[name])
-                dtype = arr.dtype.newbyteorder("<")
-                if dtype not in DTYPES:
-                    raise CheckpointError(f"{name}: cannot store dtype {arr.dtype}")
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(encoded)) + encoded)
-                fh.write(struct.pack(f"<BB{arr.ndim}I", DTYPES.index(dtype), arr.ndim, *arr.shape))
-                fh.write(arr.astype(dtype, copy=False).tobytes())  # tobytes() emits C order
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write `text` to `path` as UTF-8, atomically (see `atomic_write`)."""
+    with atomic_write(path) as fh:
+        fh.write(text)
+
+
+def save_checkpoint(path: str | Path, config: ModelConfig, tensors: dict[str, np.ndarray]) -> None:
+    with atomic_write(path, "wb") as fh:
+        blob = json.dumps(asdict(config), sort_keys=True).encode("utf-8")
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(blob)) + blob + struct.pack("<I", len(tensors)))
+        for name in sorted(tensors):
+            arr = np.asarray(tensors[name])
+            dtype = arr.dtype.newbyteorder("<")
+            if dtype not in DTYPES:
+                raise CheckpointError(f"{name}: cannot store dtype {arr.dtype}")
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(encoded)) + encoded)
+            fh.write(struct.pack(f"<BB{arr.ndim}I", DTYPES.index(dtype), arr.ndim, *arr.shape))
+            fh.write(arr.astype(dtype, copy=False).tobytes())  # tobytes() emits C order
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:

@@ -72,9 +72,10 @@ def load_config(path: str | None, overrides: list[str]) -> dict[str, str]:
 
 
 def echo_config(config: dict[str, str], path: Path) -> None:
+    from .checkpoint import write_text
+
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"{k}={config[k]}" for k in sorted(config)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(f"{k}={config[k]}" for k in sorted(config)) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,24 +135,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _per_line(args, convert, config: dict[str, str], summary: str) -> int:
+def _per_line(args, convert, config: dict[str, str], summary: str, finish=None) -> int:
     """Write convert(line) for each --input line to --output, line for line.
 
     Blank lines pass through. A line whose conversion raises one of
     propeval.REJECTS becomes a blank output line and a `<lineno>\t<reason>`
     row of <output>.rejects; <output>.rejects.json counts the rejects by
-    exception type. The resolved command line (with `config`) goes to
-    <output>.config.txt, and `summary` is printed with the counts. Exit 0,
-    or 1 when a line was rejected and --lenient is not given.
+    exception type. `finish`, when given, maps the list of every converted
+    value to their output lines in one call (embed encodes them together).
+    The resolved command line (with `config`) goes to <output>.config.txt, and
+    `summary` is printed with the counts. Every file is written atomically.
+    Exit 0, or 1 when a line was rejected and --lenient is not given.
     """
     from collections import Counter
 
+    from .checkpoint import write_text
     from .propeval import REJECTS
 
     out_path = Path(args.output)
     rejects: list[str] = []
     by_type: Counter[str] = Counter()
-    out_lines: list[str] = []
+    out_lines: list = []
+    converted: list[int] = []  # the out_lines entries that hold a converted value
     with open(args.input, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             text = line.strip()
@@ -161,11 +166,17 @@ def _per_line(args, convert, config: dict[str, str], summary: str) -> int:
                 rejects.append(f"{lineno}\t{exc}")
                 by_type[type(exc).__name__] += 1
                 out_lines.append("")
+                continue
+            if text:
+                converted.append(len(out_lines) - 1)
+    if finish is not None:
+        for i, done in zip(converted, finish([out_lines[i] for i in converted]), strict=True):
+            out_lines[i] = done
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text("".join(f"{line}\n" for line in out_lines), encoding="utf-8")
-    Path(str(out_path) + ".rejects").write_text("".join(f"{r}\n" for r in rejects), encoding="utf-8")
+    write_text(out_path, "".join(f"{line}\n" for line in out_lines))
+    write_text(str(out_path) + ".rejects", "".join(f"{r}\n" for r in rejects))
     counts = {"lines": len(out_lines), "rejected": len(rejects), "by_type": dict(sorted(by_type.items()))}
-    Path(str(out_path) + ".rejects.json").write_text(json.dumps(counts, indent=2) + "\n", encoding="utf-8")
+    write_text(str(out_path) + ".rejects.json", json.dumps(counts, indent=2) + "\n")
     echo_config({"command": args.command, "input": args.input, "output": args.output,
                  "lenient": str(args.lenient).lower(), **config}, Path(str(out_path) + ".config.txt"))
     print(summary.format(kept=len(out_lines) - len(rejects), total=len(out_lines), rejected=len(rejects)))
@@ -191,12 +202,13 @@ def cmd_convert(args) -> int:
 
 
 def cmd_make_corpus(args) -> int:
+    from .checkpoint import write_text
     from .corpus import sample_corpus
 
     molecules = sample_corpus(args.n, args.seed, args.min_atoms, args.max_tokens)
     path = Path(args.output)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(molecules) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(molecules) + "\n")
     echo_config(
         {"command": "make-corpus", "n": str(args.n), "seed": str(args.seed),
          "min_atoms": str(args.min_atoms), "max_tokens": str(args.max_tokens)},
@@ -248,6 +260,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .checkpoint import write_text
     from .genmetrics import generate_set
     from .training import load_model
 
@@ -260,9 +273,8 @@ def cmd_generate(args) -> int:
     # Only now: generate_set validates its arguments, and a failed run leaves no directory behind.
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "generated.selfies").write_text("\n".join(generated.raw) + "\n", encoding="utf-8")
-    (out_dir / "generated.smiles").write_text(
-        "\n".join(c or "" for c in generated.canonical) + "\n", encoding="utf-8")
+    write_text(out_dir / "generated.selfies", "\n".join(generated.raw) + "\n")
+    write_text(out_dir / "generated.smiles", "\n".join(c or "" for c in generated.canonical) + "\n")
     echo_config({"command": "generate", "checkpoint": args.checkpoint,
                  "n": str(args.n), "seed": str(args.seed), "temperature": str(args.temperature),
                  "max_len": str(args.max_len)}, out_dir / "config_resolved.txt")
@@ -270,7 +282,7 @@ def cmd_generate(args) -> int:
     stats = {"n": len(generated), "empty": generated.empty, "truncated": generated.truncated,
              "sampled_tokens": generated.tokens, "seconds": round(seconds, 6),
              "tokens_per_s": round(generated.tokens / seconds, 1)}
-    (out_dir / "generation_stats.json").write_text(json.dumps(stats, indent=2) + "\n", encoding="utf-8")
+    write_text(out_dir / "generation_stats.json", json.dumps(stats, indent=2) + "\n")
     print(f"generated {args.n} sequences; {len(generated.valid())} non-empty molecules; "
           f"{generated.empty} empty, {generated.truncated} cut off at max_len; "
           f"{generated.tokens} tokens in {seconds:.2f} s ({stats['tokens_per_s']:.0f} tokens/s)")
@@ -278,6 +290,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_eval_gen(args) -> int:
+    from .checkpoint import write_text
     from .genmetrics import GeneratedSet, build_report, load_training_canon
     from . import selfies
     from .canon import canonicalize
@@ -301,7 +314,7 @@ def cmd_eval_gen(args) -> int:
                           k=args.k, radius=args.radius, width=args.width)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "generation_report.json").write_text(report.to_json(), encoding="utf-8")
+    write_text(out_dir / "generation_report.json", report.to_json())
     echo_config({"command": "eval-gen", "generated": args.generated,
                  "training_canon": args.training_canon, "k": str(report.k),
                  "radius": str(args.radius), "width": str(args.width)},
@@ -311,19 +324,22 @@ def cmd_eval_gen(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    from .propeval import embed_smiles
+    from .model import embed
+    from .propeval import embed_ids
+    from .smiles import parse_smiles
     from .training import load_model
 
     config, params, vocab, _ = load_model(args.checkpoint)
 
-    def embed_line(text: str) -> str:
-        return ",".join(f"{x:.8g}" for x in embed_smiles(text, params, config, vocab))
+    def rows(ids: list) -> list[str]:
+        return [",".join(f"{x:.8g}" for x in row) for row in embed(params, config, ids)]
 
-    return _per_line(args, embed_line, {"checkpoint": args.checkpoint},
-                     "embedded with {rejected} rejects")
+    return _per_line(args, lambda text: embed_ids(parse_smiles(text), config, vocab),
+                     {"checkpoint": args.checkpoint}, "embedded with {rejected} rejects", finish=rows)
 
 
 def cmd_eval_prop(args) -> int:
+    from .checkpoint import write_text
     from .propeval import DatasetError, TaskManifest, evaluate_dataset, load_dataset
     from .training import load_model
 
@@ -338,7 +354,7 @@ def cmd_eval_prop(args) -> int:
                               checkpoint_id=Path(args.checkpoint).name)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "property_result.json").write_text(result.to_json(), encoding="utf-8")
+    write_text(out_dir / "property_result.json", result.to_json())
     echo_config({"command": "eval-prop", "checkpoint": args.checkpoint,
                  "dataset": args.dataset, "manifest": args.manifest, "seed": str(args.seed)},
                 out_dir / "config_resolved.txt")

@@ -8,7 +8,11 @@ the intact sequence token by token (teacher forcing, loss over all target
 positions). Sampling runs the same decoder incrementally, one token per
 step, with per-layer keys/values kept in a DecoderCache; the encoder and the
 cross-attention keys/values run once per distinct source, and each step draws
-the next token of every live row in one array pass. Everything is numpy +
+the next token of every live row in one array pass. `embed` encodes many
+molecules per encoder call, grouped by length so that no padding is added;
+under `no_grad` every encoder op is batch-invariant (`ad.linear` runs one GEMM
+per sequence), so an embedding has the same bytes whether the molecule is
+embedded alone or with any others. Everything is numpy +
 the in-repo autodiff; float32 for training, float64 for gradient-check work.
 Every projection is one fused `ad.linear` node and every attention (head
 split, scores, mask, softmax, context, head merge) one `ad.attention` node, so
@@ -24,9 +28,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .tokenizer import BOS, EOS, MASK, PAD, UNK
+from .tokenizer import BOS, EOS, MASK, PAD, SPECIALS
 
 NEG_INF = -1e9
+# Token positions per encoder call in `embed`. It bounds the encoder's working
+# set (at the desk config its largest arrays, the feed-forward hidden states and
+# the attention scores, take at most 2 MB each); rows being batch-invariant, it
+# changes no output.
+EMBED_CHUNK_POSITIONS = 1024
 
 
 class ModelConfigError(ValueError):
@@ -107,14 +116,22 @@ def init_model(config: ModelConfig, rng: np.random.Generator, dtype=np.float32) 
     return params
 
 
-def _check_ids(ids: np.ndarray, config: ModelConfig) -> np.ndarray:
+def _content(ids: np.ndarray) -> np.ndarray:
+    """Mask of an id vector's content positions: ids 0-4 are the five specials."""
+    return ids >= len(SPECIALS)
+
+
+def check_embed_ids(ids, config: ModelConfig) -> np.ndarray:
+    """One molecule's id vector as int64, or the ValueError `embed` would reject it with."""
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim == 1:
-        ids = ids[None, :]
-    if ids.shape[1] > config.max_len:
-        raise ValueError(f"sequence length {ids.shape[1]} exceeds max_len {config.max_len}")
+    if ids.ndim != 1:
+        raise ValueError(f"expected one id vector per molecule, got shape {ids.shape}")
+    if len(ids) > config.max_len:
+        raise ValueError(f"sequence length {len(ids)} exceeds max_len {config.max_len}")
     if ids.size and (ids.min() < 0 or ids.max() >= config.vocab_size):
         raise ValueError("token id out of vocabulary range")
+    if not _content(ids).any():
+        raise ValueError("sequence has no content tokens to embed")
     return ids
 
 
@@ -292,15 +309,29 @@ def batch_denoise_loss(params, config: ModelConfig, x_corrupt: np.ndarray, y: np
     return loss, masked_acc
 
 
-def embed(params, config: ModelConfig, ids: np.ndarray) -> np.ndarray:
-    """Mean of encoder states over content (non-special) positions."""
-    ids = _check_ids(ids, config)
-    content = ~np.isin(ids[0], (PAD, BOS, EOS, MASK, UNK))
-    if not content.any():
-        raise ValueError("sequence has no content tokens to embed")
+def embed(params, config: ModelConfig, ids_list) -> np.ndarray:
+    """Embeddings (n, d_model) of n molecules' id vectors: each the mean of its content states.
+
+    Every row is checked first (`check_embed_ids`), so one bad row raises
+    before any encoding. Rows of equal length are then encoded together,
+    without padding, in chunks of at most EMBED_CHUNK_POSITIONS token
+    positions. Under `no_grad` each encoder op is batch-invariant, so a row's
+    embedding has the same bits in any batch, alone included.
+    """
+    rows = [check_embed_ids(ids, config) for ids in ids_list]
+    out = np.empty((len(rows), config.d_model), dtype=params["tok_emb"].data.dtype)
+    lengths = np.array([len(ids) for ids in rows], dtype=np.int64)
     with ad.no_grad():
-        states = encoder_forward(params, config, ids, (ids != PAD).astype(np.float64))
-    return states.data[0][content].mean(axis=0)
+        for length in np.unique(lengths):
+            group = np.flatnonzero(lengths == length)
+            step = max(1, EMBED_CHUNK_POSITIONS // int(length))
+            for start in range(0, len(group), step):
+                chunk = group[start:start + step]
+                ids = np.stack([rows[i] for i in chunk])
+                states = encoder_forward(params, config, ids, (ids != PAD).astype(np.float64)).data
+                for state, i in zip(states, chunk):
+                    out[i] = state[_content(rows[i])].mean(axis=0)
+    return out
 
 
 def _source_ids(source_length: int | None, config: ModelConfig) -> np.ndarray:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import selfies
-from .model import ModelConfig, embed
+from .model import ModelConfig, check_embed_ids, embed
 from .smiles import SmilesParseError, parse_smiles
 from .tokenizer import Vocabulary, encode_ids
 from .graph import GraphError, MolecularGraph
@@ -160,19 +160,13 @@ def split(dataset: PropertyDataset, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> Sp
 REJECTS = (ValueError, RecursionError)
 
 
-def embed_smiles(text: str, params, config: ModelConfig, vocab: Vocabulary) -> np.ndarray:
-    """Embedding row of one SMILES text: parse, grammar-encode, map to ids, embed.
+def embed_ids(graph: MolecularGraph, config: ModelConfig, vocab: Vocabulary) -> np.ndarray:
+    """The encoder ids of one parsed molecule: grammar-encode, map to ids, check.
 
     A molecule that cannot be embedded raises one of REJECTS, whose message is
-    the reason: a parse, valence or alphabet error, or a sequence over
-    max_len.
+    the reason: a valence or alphabet error, or a sequence over max_len.
     """
-    return embed_graph(parse_smiles(text), params, config, vocab)
-
-
-def embed_graph(graph: MolecularGraph, params, config: ModelConfig, vocab: Vocabulary) -> np.ndarray:
-    """Embedding row of one parsed molecule; raises one of REJECTS as embed_smiles does."""
-    return embed(params, config, encode_ids(selfies.encode(graph), vocab))
+    return check_embed_ids(encode_ids(selfies.encode(graph), vocab), config)
 
 
 def featurize(dataset: PropertyDataset, params, config: ModelConfig, vocab: Vocabulary
@@ -180,20 +174,22 @@ def featurize(dataset: PropertyDataset, params, config: ModelConfig, vocab: Voca
     """Embed every record; returns (features, row indices kept, dropped count).
 
     Rows the loader parsed are embedded from their graphs; otherwise each
-    SMILES text is parsed here.
+    SMILES text is parsed here. A record that cannot be embedded (one of
+    REJECTS) is dropped; the kept ones are encoded in one `embed` call, in
+    length groups, and each row equals that molecule's lone embedding byte for
+    byte.
     """
-    rows: list[np.ndarray] = []
+    ids: list[np.ndarray] = []
     kept: list[int] = []
     for i, text in enumerate(dataset.smiles):
         try:
-            graph = dataset.graphs[i] if dataset.graphs else parse_smiles(text)
-            rows.append(embed_graph(graph, params, config, vocab))
+            ids.append(embed_ids(dataset.graphs[i] if dataset.graphs else parse_smiles(text), config, vocab))
         except REJECTS:
             continue
         kept.append(i)
-    if not rows:
+    if not kept:
         raise DatasetError("no record could be featurized")
-    return np.stack(rows), np.asarray(kept), len(dataset) - len(kept)
+    return embed(params, config, ids), np.asarray(kept), len(dataset) - len(kept)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, write_text
 from .model import ModelConfig, batch_denoise_loss, init_model
 from .selfies import split_selfies
 from .tokenizer import PAD, Vocabulary, corrupt, encode_ids, parse_vocab, vocab_text
@@ -72,7 +72,7 @@ class TrainLog:
         lines = ["step,loss,masked_acc,seconds"]
         for r in self.steps:
             lines.append(f"{r.step},{r.loss:.6f},{r.masked_acc:.6f},{r.seconds:.3f}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_text(path, "\n".join(lines) + "\n")
 
 
 def load_token_corpus(path: str | Path, vocab: Vocabulary, max_len: int) -> tuple[list[np.ndarray], int]:

@@ -291,10 +291,7 @@ def test_criterion_9_embedding_sanity(toy_run):
     def features(params):
         from moldae.model import embed
 
-        return np.stack([
-            embed(params, toy_run.config, encode_ids(sfm.encode(g), toy_run.vocab))
-            for g in graphs
-        ])
+        return embed(params, toy_run.config, [encode_ids(sfm.encode(g), toy_run.vocab) for g in graphs])
 
     feats = {"trained": features(toy_run.params), "random": features(random_params)}
 

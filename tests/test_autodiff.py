@@ -80,6 +80,36 @@ def test_linear_transposed_view_weight():
     fd_check(lambda x, table: weighted_total(ad.linear(x, ad.transpose(table, (1, 0)))), (2, 3, 4), (6, 4))
 
 
+def _projection(batch, length, seed=0):
+    """float32 (B, L, 512) inputs and the feed-forward output weight (512, 128) and bias."""
+    rng = np.random.default_rng(seed)
+    x, w, b = (rng.normal(size=s).astype(np.float32) for s in [(batch, length, 512), (512, 128), (128,)])
+    return x, w, b
+
+
+def test_linear_without_tape_is_one_gemm_per_sequence():
+    """Each row's bits are those of its sequence alone, whatever else is in the batch."""
+    x, w, b = _projection(6, 5)
+    with ad.no_grad():
+        out = ad.linear(Tensor(x), Tensor(w), Tensor(b)).data
+    for i in range(len(x)):
+        assert np.array_equal(out[i], x[i] @ w + b)
+
+
+def test_linear_with_tape_is_one_flat_gemm():
+    x, w, b = _projection(6, 5)
+    out = ad.linear(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
+    assert np.array_equal(out.data, (x.reshape(-1, 512) @ w + b).reshape(6, 5, 128))
+
+
+def test_linear_decode_step_is_one_flat_gemm_without_tape():
+    """(B, 1, d) decode steps keep the flat GEMM, so sampling bits do not move."""
+    x, w, b = _projection(6, 1)
+    with ad.no_grad():
+        out = ad.linear(Tensor(x), Tensor(w), Tensor(b)).data
+    assert np.array_equal(out, (x.reshape(-1, 512) @ w + b).reshape(6, 1, 128))
+
+
 def test_attention_causal_bias():
     # 3 heads of width 2; queries at positions 1..3 over keys at 0..3 (Lq != Lk).
     bias = np.triu(np.full((3, 4), -1e9), k=2)[None, None]

@@ -526,6 +526,43 @@ def test_reject_reasons_counted_by_type(trained, tmp_path):
         "lines": 1, "rejected": 0, "by_type": {}}
 
 
+def test_embed_rejects_only_unembeddable_lines(trained, tmp_path):
+    """An over-max_len line and a line of unknown tokens only are rejected, with today's reasons;
+    every other line equals its embedding alone, byte for byte."""
+    root, run, _ = trained
+    ckpt = str(run / "checkpoint_final.bin")
+    lines = ["CCO", "C" * 40, "[H][H]", "CC(=O)O", "", "CCN", "CCO"]
+    out = tmp_path / "emb.csv"
+    assert main(["embed", "--checkpoint", ckpt, "--input", _write(tmp_path, "in.smiles", "\n".join(lines) + "\n"),
+                 "--output", str(out)]) == 1
+    assert (tmp_path / "emb.csv.rejects").read_text() == (
+        "2\tsequence length 42 exceeds max_len 32\n3\tsequence has no content tokens to embed\n")
+    assert json.loads((tmp_path / "emb.csv.rejects.json").read_text()) == {
+        "lines": 7, "rejected": 2, "by_type": {"ValueError": 2}}
+    rows = out.read_text().split("\n")
+    assert rows[1:3] == ["", ""] and rows[4] == "" and rows[7:] == [""]
+    for i in (0, 3, 5, 6):
+        alone = tmp_path / f"alone{i}.csv"
+        assert main(["embed", "--checkpoint", ckpt, "--input", _write(tmp_path, f"in{i}.smiles", lines[i] + "\n"),
+                     "--output", str(alone)]) == 0
+        assert alone.read_text() == rows[i] + "\n" and rows[i].count(",") == 15
+
+
+def test_atomic_write_keeps_previous_file_on_error(tmp_path):
+    from moldae.checkpoint import atomic_write, write_text
+
+    path = tmp_path / "out.csv"
+    write_text(path, "previous\n")
+    with pytest.raises(UnicodeEncodeError):  # a lone surrogate fails to encode partway through
+        write_text(path, "x" * 100_000 + "\ud800")
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write("partial\n")
+            raise RuntimeError("interrupted")
+    assert path.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
 def test_eval_prop_drops_too_deep_molecule(trained, tmp_path):
     root, run, _ = trained
     ckpt = str(run / "checkpoint_final.bin")

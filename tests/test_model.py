@@ -89,10 +89,13 @@ def test_encoder_output_shape_and_finite():
 
 def test_encoder_rejects_bad_input():
     params = toy_params()
-    with pytest.raises(ValueError):
-        embed(params, TOY, np.arange(13))
-    with pytest.raises(ValueError):
-        embed(params, TOY, np.array([0, 99]))
+    good = np.array([BOS, 5, EOS])
+    with pytest.raises(ValueError, match="sequence length 13 exceeds max_len 12"):
+        embed(params, TOY, [good, np.arange(13)])
+    with pytest.raises(ValueError, match="token id out of vocabulary range"):
+        embed(params, TOY, [np.array([0, 99]), good])
+    with pytest.raises(ValueError, match="one id vector per molecule"):
+        embed(params, TOY, [good[None]])
 
 
 def test_pad_positions_do_not_leak():
@@ -306,15 +309,16 @@ def test_overfit_single_example():
 def test_embed_is_mean_of_content_states():
     params = toy_params()
     ids = np.array([BOS, 5, 6, 7, EOS])
-    vec = embed(params, TOY, ids)
+    (vec,) = embed(params, TOY, [ids])
     states = encode(params, TOY, ids)
     assert np.allclose(vec, states[1:4].mean(axis=0), atol=1e-12)
     assert vec.shape == (TOY.d_model,)
-    single = embed(params, TOY, np.array([BOS, 5, EOS]))
+    (single,) = embed(params, TOY, [np.array([BOS, 5, EOS])])
     assert np.allclose(single, encode(params, TOY, np.array([BOS, 5, EOS]))[1], atol=1e-12)
-    with pytest.raises(ValueError):
-        embed(params, TOY, np.array([BOS, EOS]))
-    assert np.allclose(embed(params, TOY, ids), vec)
+    with pytest.raises(ValueError, match="no content tokens"):
+        embed(params, TOY, [np.array([BOS, EOS])])
+    assert np.array_equal(embed(params, TOY, [ids, np.array([BOS, 5, EOS]), ids]), np.stack([vec, single, vec]))
+    assert embed(params, TOY, []).shape == (0, TOY.d_model)
 
 
 def test_sample_deterministic_and_temperature_limit():

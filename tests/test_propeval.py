@@ -173,6 +173,37 @@ def test_train_probe_logistic_converges_on_separable_data():
     assert 1 < probe.steps <= 20 and probe.grad_norm < 1e-6
 
 
+def _bench_inputs():
+    """bench/inputs.py, which names the fixture model and its probe pool."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
+    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+def test_batched_embed_of_probe_pool_equals_lone_embeddings(monkeypatch):
+    """One `embed` call over the fixture's whole probe pool gives each molecule's lone bytes.
+
+    Also in shuffled order, and with a chunk limit that splits every length
+    group into encoder calls of a few rows.
+    """
+    from moldae import model
+    from moldae.propeval import embed_ids
+    from moldae.smiles import parse_smiles
+
+    inputs = _bench_inputs()
+    config, params = load_params(inputs.FIXTURE / inputs.MODEL_FILE)
+    vocab = load_vocab(inputs.FIXTURE / inputs.VOCAB_FILE)
+    ids = [embed_ids(parse_smiles(t), config, vocab) for t in inputs.read_pool(inputs.PROBE_POOL[0])]
+    lone = np.stack([model.embed(params, config, [row])[0] for row in ids])
+    assert lone.dtype == np.float32 and len(lone) == inputs.PROBE_POOL[1]
+    assert np.array_equal(model.embed(params, config, ids), lone)
+    order = np.random.default_rng(0).permutation(len(ids))
+    assert np.array_equal(model.embed(params, config, [ids[i] for i in order]), lone[order])
+    monkeypatch.setattr(model, "EMBED_CHUNK_POSITIONS", 64)
+    assert np.array_equal(model.embed(params, config, ids), lone)
+
+
 def test_logistic_probe_halves_overshooting_newton_steps():
     """A real fold on which full Newton steps overshoot at lambda=1e-3.
 
@@ -181,9 +212,7 @@ def test_logistic_probe_halves_overshooting_newton_steps():
     objective from its fifth step on, ran off until p(1-p) underflowed and
     died in `np.linalg.solve` on a singular Hessian.
     """
-    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
-    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
-    spec.loader.exec_module(inputs)
+    inputs = _bench_inputs()
     config, params = load_params(inputs.FIXTURE / inputs.MODEL_FILE)
     vocab = load_vocab(inputs.FIXTURE / inputs.VOCAB_FILE)
     rnd = inputs.probe_round(41, 53)
@@ -336,8 +365,32 @@ def test_featurize_matches_direct_embed(toy_model, corpus_small):
     ds = PropertyDataset("t", "regression", tuple(corpus_small[:5]), np.zeros((5, 1)))
     features, _, _ = featurize(ds, params, config, vocab)
     for i, text in enumerate(ds.smiles):
-        direct = embed(params, config, encode_ids(sf.encode(parse_smiles(text)), vocab))
-        assert np.allclose(features[i], direct, atol=1e-12)
+        (direct,) = embed(params, config, [encode_ids(sf.encode(parse_smiles(text)), vocab)])
+        assert np.array_equal(features[i], direct)
+
+
+def test_featurize_drops_only_unembeddable_rows():
+    """An over-max_len row and a row of unknown tokens only are dropped; kept rows equal lone embeddings."""
+    from moldae import selfies as sf
+    from moldae.model import ModelConfig, embed, init_model
+    from moldae.propeval import embed_ids
+    from moldae.smiles import parse_smiles
+    from moldae.tokenizer import build_vocab
+
+    smiles = ("CCO", "C" * 11, "CC(=O)O", "N", "OCCO", "CCC")
+    vocab = build_vocab([sf.encode(parse_smiles(t)) for t in smiles if "N" not in t])
+    config = ModelConfig(vocab_size=len(vocab), d_model=16, n_heads=2, encoder_layers=1,
+                         decoder_layers=1, ff_width=16, max_len=12)
+    params = init_model(config, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="sequence length 13 exceeds max_len 12"):
+        embed_ids(parse_smiles(smiles[1]), config, vocab)
+    with pytest.raises(ValueError, match="no content tokens"):
+        embed_ids(parse_smiles("N"), config, vocab)
+    ds = PropertyDataset("t", "regression", smiles, np.zeros((len(smiles), 1)))
+    features, kept, dropped = featurize(ds, params, config, vocab)
+    assert kept.tolist() == [0, 2, 4, 5] and dropped == 2
+    for row, i in zip(features, kept):
+        assert np.array_equal(row, embed(params, config, [embed_ids(parse_smiles(smiles[i]), config, vocab)])[0])
 
 
 def test_evaluate_dataset_multilabel_classification(toy_model, corpus_small):

@@ -39,6 +39,10 @@ import sys
 import time
 from pathlib import Path
 
+# Input lines `convert` and `embed` hold at once: it bounds their memory on a
+# long input. Embeddings are batch-invariant, so it changes no output byte.
+PER_LINE_CHUNK = 1024
+
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_IO = 2
@@ -141,45 +145,52 @@ def _per_line(args, convert, config: dict[str, str], summary: str, finish=None) 
     Blank lines pass through. A line whose conversion raises one of
     propeval.REJECTS becomes a blank output line and a `<lineno>\t<reason>`
     row of <output>.rejects; <output>.rejects.json counts the rejects by
-    exception type. `finish`, when given, maps the list of every converted
-    value to their output lines in one call (embed encodes them together).
-    The resolved command line (with `config`) goes to <output>.config.txt, and
-    `summary` is printed with the counts. Every file is written atomically.
-    Exit 0, or 1 when a line was rejected and --lenient is not given.
+    exception type. `finish`, when given, maps a list of converted values to
+    their output lines in one call (embed encodes them together). Lines are
+    converted and written PER_LINE_CHUNK at a time, so memory does not grow
+    with the input. The resolved command line (with `config`) goes to
+    <output>.config.txt, and `summary` is printed with the counts. Every file
+    is written atomically. Exit 0, or 1 when a line was rejected and
+    --lenient is not given.
     """
     from collections import Counter
 
-    from .checkpoint import write_text
+    from .checkpoint import atomic_write, write_text
     from .propeval import REJECTS
 
     out_path = Path(args.output)
     rejects: list[str] = []
     by_type: Counter[str] = Counter()
-    out_lines: list = []
-    converted: list[int] = []  # the out_lines entries that hold a converted value
+    lines = 0
+    chunk: list = []  # converted values; None for a blank output line
+
+    def flush(out) -> None:
+        values = [value for value in chunk if value is not None]
+        done = iter(values if finish is None else finish(values))
+        out.writelines(f"{'' if value is None else next(done)}\n" for value in chunk)
+        chunk.clear()
+
     with open(args.input, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            try:
-                out_lines.append(convert(text) if text else "")
-            except REJECTS as exc:
-                rejects.append(f"{lineno}\t{exc}")
-                by_type[type(exc).__name__] += 1
-                out_lines.append("")
-                continue
-            if text:
-                converted.append(len(out_lines) - 1)
-    if finish is not None:
-        for i, done in zip(converted, finish([out_lines[i] for i in converted]), strict=True):
-            out_lines[i] = done
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_text(out_path, "".join(f"{line}\n" for line in out_lines))
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        with atomic_write(out_path) as out:
+            for lineno, line in enumerate(fh, 1):
+                lines = lineno
+                text = line.strip()
+                try:
+                    chunk.append(convert(text) if text else None)
+                except REJECTS as exc:
+                    rejects.append(f"{lineno}\t{exc}")
+                    by_type[type(exc).__name__] += 1
+                    chunk.append(None)
+                if len(chunk) == PER_LINE_CHUNK:
+                    flush(out)
+            flush(out)
     write_text(str(out_path) + ".rejects", "".join(f"{r}\n" for r in rejects))
-    counts = {"lines": len(out_lines), "rejected": len(rejects), "by_type": dict(sorted(by_type.items()))}
+    counts = {"lines": lines, "rejected": len(rejects), "by_type": dict(sorted(by_type.items()))}
     write_text(str(out_path) + ".rejects.json", json.dumps(counts, indent=2) + "\n")
     echo_config({"command": args.command, "input": args.input, "output": args.output,
                  "lenient": str(args.lenient).lower(), **config}, Path(str(out_path) + ".config.txt"))
-    print(summary.format(kept=len(out_lines) - len(rejects), total=len(out_lines), rejected=len(rejects)))
+    print(summary.format(kept=lines - len(rejects), total=lines, rejected=len(rejects)))
     return EXIT_OK if (not rejects or args.lenient) else EXIT_DOMAIN
 
 

@@ -16,8 +16,10 @@ import numpy as np
 
 from . import selfies
 from .canon import canonicalize
-from .fingerprint import fingerprint
+from .fingerprint import fingerprints
+from .graph import GraphError
 from .model import ModelConfig, _draw, sample_batch
+from .smiles import SmilesParseError, parse_smiles
 from .tokenizer import EOS, Vocabulary, decode_ids
 
 
@@ -176,24 +178,19 @@ def _diversities(generated: GeneratedSet, powers: tuple[int, ...], radius: int, 
     distinct = sorted(set(generated.valid()))
     if not distinct:
         raise MetricsError("no valid molecules")
-    fps = np.stack([fingerprint_from_smiles(s, radius, width) for s in distinct]).astype(np.float64)
-    pop = fps.sum(axis=1)
+    # Intersections count at most width (<= 2**24) ones, so float32 sums them exactly.
+    fps = fingerprints((parse_smiles(s) for s in distinct), radius, width).astype(np.float32)
+    pop = fps.sum(axis=1, dtype=np.float64)
     totals = [0.0] * len(powers)
     block = 256
     for lo in range(0, len(distinct), block):
         chunk = fps[lo : lo + block]
-        inter = chunk @ fps.T
+        inter = (chunk @ fps.T).astype(np.float64)
         union = pop[lo : lo + block, None] + pop[None, :] - inter
         sim = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 1.0)
         for j, p in enumerate(powers):
             totals[j] += float((sim**p).sum())
     return [1.0 - (total / len(distinct) ** 2) ** (1.0 / p) for total, p in zip(totals, powers)]
-
-
-def fingerprint_from_smiles(smiles_text: str, radius: int, width: int) -> np.ndarray:
-    from .smiles import parse_smiles
-
-    return fingerprint(parse_smiles(smiles_text), radius, width).bits
 
 
 def internal_diversity(generated: GeneratedSet, p: int = 1, radius: int = 2, width: int = 1024) -> float:
@@ -205,9 +202,6 @@ def internal_diversity(generated: GeneratedSet, p: int = 1, radius: int = 2, wid
 
 def load_training_canon(path: str | Path) -> set[str]:
     """Canonical forms of a SMILES file (one per line, blank lines skipped)."""
-    from .graph import GraphError
-    from .smiles import SmilesParseError, parse_smiles
-
     canon: set[str] = set()
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         text = line.strip()

@@ -133,6 +133,10 @@ def validate(graph: MolecularGraph) -> MolecularGraph:
         if atom.hcount is not None and atom.hcount < 0:
             raise GraphError("negative hydrogen count")
     seen_pairs: set[tuple[int, int]] = set()
+    # Connectivity by union-find with path halving: each bond joining two
+    # components leaves one component fewer.
+    root = list(range(n))
+    components = n
     for a, b, order in graph.bonds:
         if not (0 <= a < n and 0 <= b < n):
             raise GraphError(f"bond endpoint out of range: ({a}, {b})")
@@ -144,7 +148,16 @@ def validate(graph: MolecularGraph) -> MolecularGraph:
         if pair in seen_pairs:
             raise GraphError(f"duplicate bond between atoms {pair[0]} and {pair[1]}")
         seen_pairs.add(pair)
-    if n > 1 and -1 in depth_first(graph, list(range(n))).pos:
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        while root[b] != b:
+            root[b] = root[root[b]]
+            b = root[b]
+        if a != b:
+            root[a] = b
+            components -= 1
+    if components > 1:
         raise GraphError("graph is disconnected")
     for idx, atom in enumerate(graph.atoms):
         used = graph.bond_sum(idx) + (atom.hcount or 0)

@@ -297,30 +297,52 @@ def _kekulize(atoms: list[_ParsedAtom], bonds: dict[tuple[int, int], int]) -> No
     needy = sorted(i for i, a in enumerate(atoms) if a.aromatic and needs_double(i))
     partners = {u: [v for v in sorted(adj.get(u, [])) if needs_double(v)] for u in needy}
     match: dict[int, int] = {}
-    # Depth-first search for a perfect matching, needy atoms and their
-    # partners in index order, on an explicit stack: one frame (needy
-    # position, partners not yet tried) per atom matched so far.
-    frames: list[tuple[int, Iterator[int]]] = []
-    pos = 0
-    while True:
-        while pos < len(needy) and needy[pos] in match:
-            pos += 1
-        if pos == len(needy):
-            break
-        untried = iter(partners[needy[pos]])
-        while (v := next(untried, -1)) < 0 or v in match:
-            if v < 0:  # no partner left: undo the latest match and try its next partner
-                if not frames:
-                    raise KekulizationError("aromatic ring cannot be kekulized", atoms[needy[0]].pos)
-                pos, untried = frames.pop()
-                del match[match.pop(needy[pos])]
-        match[needy[pos]] = v
-        match[v] = needy[pos]
-        frames.append((pos, untried))
-        pos += 1
+    # Components of the partner graph share no atom, so each one's first
+    # matching is the one a search over all of them would keep, and an
+    # unmatchable component fails without retrying the others' choices.
+    seen: set[int] = set()
+    for start in needy:
+        if start in seen:
+            continue
+        seen.add(start)
+        component = [start]
+        for u in component:
+            for v in partners[u]:
+                if v not in seen:
+                    seen.add(v)
+                    component.append(v)
+        if not _first_matching(sorted(component), partners, match):
+            raise KekulizationError("aromatic ring cannot be kekulized", atoms[needy[0]].pos)
 
     for a, b in aromatic_bonds:
         if match.get(a) == b:
             bonds[(a, b)] = 2
         else:
             bonds[(a, b)] = 1
+
+
+def _first_matching(needy: list[int], partners: dict[int, list[int]], match: dict[int, int]) -> bool:
+    """Extend `match` with the first perfect matching of `needy`; False if there is none.
+
+    Depth-first search, needy atoms and their partners in index order, on an
+    explicit stack: one frame (needy position, partners not yet tried) per
+    atom matched so far.
+    """
+    frames: list[tuple[int, Iterator[int]]] = []
+    pos = 0
+    while True:
+        while pos < len(needy) and needy[pos] in match:
+            pos += 1
+        if pos == len(needy):
+            return True
+        untried = iter(partners[needy[pos]])
+        while (v := next(untried, -1)) < 0 or v in match:
+            if v < 0:  # no partner left: undo the latest match and try its next partner
+                if not frames:
+                    return False
+                pos, untried = frames.pop()
+                del match[match.pop(needy[pos])]
+        match[needy[pos]] = v
+        match[v] = needy[pos]
+        frames.append((pos, untried))
+        pos += 1

@@ -548,6 +548,32 @@ def test_embed_rejects_only_unembeddable_lines(trained, tmp_path):
         assert alone.read_text() == rows[i] + "\n" and rows[i].count(",") == 15
 
 
+def test_per_line_output_does_not_depend_on_the_chunk(trained, tmp_path, monkeypatch):
+    """embed and convert write the same bytes when every chunk boundary cuts through
+    blank, rejected and embedded lines."""
+    import moldae.cli as cli
+
+    root, run, _ = trained
+    ckpt = str(run / "checkpoint_final.bin")
+    lines = ["CCO", "C" * 40, "", "CC(=O)O", "[H][H]", "C1CC", "c1ccccc1", "", "CCO", "OCCN"]
+    src = _write(tmp_path, "in.smiles", "\n".join(lines) + "\n")
+    outputs = {}
+    for chunk in (cli.PER_LINE_CHUNK, 3, 1):
+        monkeypatch.setattr(cli, "PER_LINE_CHUNK", chunk)
+        for command in ("embed", "convert"):
+            out = tmp_path / f"{command}{chunk}.txt"
+            argv = [command, "--input", src, "--output", str(out)]
+            argv += ["--checkpoint", ckpt] if command == "embed" else []
+            assert main(argv) == 1
+            outputs.setdefault(command, set()).add(tuple(
+                Path(f"{out}{suffix}").read_bytes() for suffix in ("", ".rejects", ".rejects.json")))
+    assert len(outputs["embed"]) == len(outputs["convert"]) == 1
+    (embedded, rejects, _), = outputs["embed"]
+    rows = embedded.decode().split("\n")
+    assert [i for i, row in enumerate(rows) if row] == [0, 3, 6, 8, 9]
+    assert rows[0] == rows[8] and rejects.decode().count("\n") == 3
+
+
 def test_atomic_write_keeps_previous_file_on_error(tmp_path):
     from moldae.checkpoint import atomic_write, write_text
 

@@ -3,9 +3,69 @@
 import numpy as np
 import pytest
 
-from moldae.fingerprint import Fingerprint, FingerprintError, fingerprint, tanimoto
-from moldae.graph import permute
+import moldae.fingerprint as fingerprint_module
+from moldae.corpus import sample_corpus
+from moldae.fingerprint import (Fingerprint, FingerprintError, _fnv1a64, fingerprint, fingerprints,
+                                tanimoto)
+from moldae.graph import Atom, MolecularGraph, permute, validate
 from moldae.smiles import parse_smiles
+
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def scalar_fnv1a(data: bytes) -> int:
+    """The byte-at-a-time FNV-1a 64 that `_fnv1a64` vectorizes (the oracle)."""
+    h = _FNV_OFFSET
+    for byte in data:
+        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+    return h
+
+
+def scalar_fingerprint(graph: MolecularGraph, radius: int = 2, width: int = 1024) -> np.ndarray:
+    """One molecule at a time, one environment at a time: the fingerprint's definition."""
+
+    def hash_tuple(parts: tuple) -> int:
+        return scalar_fnv1a(repr(parts).encode("ascii"))
+
+    adj = graph.neighbors()
+    env = [hash_tuple((atom.element, atom.charge, graph.total_hydrogens(i), len(adj[i]),
+                       tuple(sorted(o for _, o in adj[i]))))
+           for i, atom in enumerate(graph.atoms)]
+    bits = np.zeros(width, dtype=bool)
+    for h in env:
+        bits[h % width] = True
+    for _ in range(radius):
+        env = [hash_tuple((env[i], tuple(sorted((o, env[j]) for j, o in adj[i]))))
+               for i in range(len(graph.atoms))]
+        for h in env:
+            bits[h % width] = True
+    return bits
+
+
+def _long_chain(rng, n: int) -> MolecularGraph:
+    """An n-atom backbone of C, N, O and S with F, Cl, O, C and =O side groups."""
+    atoms = [Atom(str(rng.choice(["C", "C", "C", "N", "O", "S"]))) for _ in range(n)]
+    bonds = [(i, i + 1, 1) for i in range(n - 1)]
+    for i in range(n):
+        if atoms[i].element == "C" and rng.random() < 0.4:
+            side = str(rng.choice(["F", "Cl", "O", "C", "=O"]))
+            atoms.append(Atom(side.lstrip("=")))
+            bonds.append((i, len(atoms) - 1, 2 if side == "=O" else 1))
+    return validate(MolecularGraph(tuple(atoms), tuple(bonds)))
+
+
+_RING_SYSTEMS = [
+    "c1ccc2cc3ccccc3cc2c1",
+    "c1cc2ccc3ccc4ccc5ccc6ccc1c1c2c3c4c5c61",
+    "C1CC2CCC1CC2",
+    "C12C3C4C1C5C2C3C45",
+    "C1" + "C" * 60 + "C1",
+    "c1ccc(cc1)-c1ccncc1-c1ccoc1",
+    "O=C1NC(=O)c2ccccc21",
+    "c1cc2cccc3c2c(c1)CC3",
+]
 
 
 def test_radius_zero_single_atom_one_bit():
@@ -81,3 +141,54 @@ def test_width_mismatch_rejected():
     b = fingerprint(parse_smiles("C"), width=128)
     with pytest.raises(FingerprintError):
         tanimoto(a, b)
+
+
+def test_fnv1a64_known_answers():
+    expected = [0xCBF29CE484222325, 0xAF63DC4C8601EC8C, 0x85944171F73967E8]
+    assert _fnv1a64(["", "a", "foobar"]).tolist() == expected
+    assert [scalar_fnv1a(b) for b in (b"", b"a", b"foobar")] == expected
+
+
+def _assert_batch_equals_oracle(graphs, rng, radius=2, width=1024):
+    """fingerprints(graphs) row for row against the oracle, as given and under 2 relabelings."""
+    for relabel in range(3):
+        if relabel:
+            graphs = [permute(g, list(rng.permutation(len(g)))) for g in graphs]
+        got = fingerprints(graphs, radius, width)
+        assert got.shape == (len(graphs), width)
+        for row, graph in zip(got, graphs):
+            assert np.array_equal(row, scalar_fingerprint(graph, radius, width))
+
+
+def test_fingerprints_equal_scalar_oracle_on_corpus():
+    graphs = [parse_smiles(s) for s in sample_corpus(500)]
+    _assert_batch_equals_oracle(graphs, np.random.default_rng(5))
+
+
+def test_fingerprints_equal_scalar_oracle_on_long_chains_and_rings():
+    rng = np.random.default_rng(6)
+    chains = [_long_chain(rng, int(n)) for n in rng.integers(300, 401, size=4)]
+    rings = [parse_smiles(s) for s in _RING_SYSTEMS]
+    _assert_batch_equals_oracle(chains + rings, np.random.default_rng(7))
+    _assert_batch_equals_oracle(rings, np.random.default_rng(8), radius=3, width=64)
+
+
+def test_fingerprints_bits_do_not_depend_on_the_chunk(monkeypatch):
+    graphs = [parse_smiles(s) for s in _RING_SYSTEMS + ["C", "CCO", "ClC(Cl)(Cl)Cl"]]
+    graphs.append(_long_chain(np.random.default_rng(9), 40))
+    whole = fingerprints(graphs)
+    monkeypatch.setattr(fingerprint_module, "HASH_CHUNK_ENVS", 7)  # splits layers and groups
+    assert np.array_equal(fingerprints(graphs), whole)
+    assert np.array_equal(fingerprints(iter(graphs)), whole)
+    for row, graph in zip(whole, graphs):
+        assert np.array_equal(row, scalar_fingerprint(graph))
+
+
+def test_fingerprints_of_nothing_and_of_the_empty_molecule():
+    assert fingerprints([], width=64).shape == (0, 64)
+    assert not fingerprints([MolecularGraph((), ())], width=64).any()
+
+
+def test_width_upper_bound():
+    with pytest.raises(FingerprintError):
+        fingerprints([parse_smiles("C")], width=1 << 25)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from moldae.canon import canonicalize
-from moldae.fingerprint import fingerprint, tanimoto
+from moldae.fingerprint import fingerprint, fingerprints, tanimoto
 from moldae.genmetrics import (
     GeneratedSet, MetricsError, build_report, draw_source_length, generate_set,
     internal_diversity, novelty, unique_at, validity,
@@ -111,15 +111,34 @@ def test_build_report_fingerprints_each_distinct_molecule_once(corpus_small, mon
     molecules = [canonicalize(parse_smiles(s)) for s in corpus_small[:6]]
     calls = []
 
-    def counting(graph, radius, width):
-        calls.append(graph)
-        return fingerprint(graph, radius, width)
+    def counting(graphs, radius, width):
+        calls.append(list(graphs))
+        return fingerprints(calls[-1], radius, width)
 
-    monkeypatch.setattr(genmetrics, "fingerprint", counting)
+    monkeypatch.setattr(genmetrics, "fingerprints", counting)
     report = build_report(gen(*molecules, molecules[0], None), training_canon=set())
-    assert len(calls) == len(set(molecules)) == 6
+    assert len(calls) == 1
+    assert sorted(canonicalize(g) for g in calls[0]) == sorted(set(molecules))
+    assert len(calls[0]) == 6
     for p, value in ((1, report.intdiv1), (2, report.intdiv2)):
         assert value == internal_diversity(gen(*molecules), p)
+
+
+def test_float32_similarity_products_equal_float64_bitwise(corpus_1k):
+    """intdiv1/intdiv2 over more rows than one 256-row block, against the float64 products."""
+    distinct = sorted(set(corpus_1k[:300]))
+    fps = fingerprints([parse_smiles(s) for s in distinct]).astype(np.float64)
+    pop = fps.sum(axis=1)
+    totals = [0.0, 0.0]
+    for lo in range(0, len(distinct), 256):
+        inter = fps[lo : lo + 256] @ fps.T
+        union = pop[lo : lo + 256, None] + pop[None, :] - inter
+        sim = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 1.0)
+        for j, p in enumerate((1, 2)):
+            totals[j] += float((sim**p).sum())
+    expected = [1.0 - (t / len(distinct) ** 2) ** (1.0 / p) for t, p in zip(totals, (1, 2))]
+    report = build_report(gen(*distinct), training_canon=set())
+    assert [report.intdiv1, report.intdiv2] == expected
 
 
 def test_generated_set_alignment_checked():

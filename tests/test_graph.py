@@ -14,7 +14,7 @@ from moldae import selfies as sf
 from moldae.canon import (_BOND_CHAR, _atom_text, _dense, _initial_ranks, _refine, _serialize, canonicalize,
                           write_smiles)
 from moldae.corpus import sample_corpus
-from moldae.graph import Atom, GraphError, MolecularGraph, ValenceError, permute, validate
+from moldae.graph import Atom, GraphError, MolecularGraph, ValenceError, depth_first, permute, validate
 from moldae.smiles import parse_smiles
 
 
@@ -61,6 +61,32 @@ def test_validate_rejects_duplicate_bond():
 def test_validate_rejects_disconnected():
     with pytest.raises(GraphError):
         validate(MolecularGraph((Atom("C"), Atom("C")), ()))
+
+
+def test_validate_connectivity_agrees_with_depth_first_walk():
+    """The union-find in `validate` calls a graph disconnected exactly when the walk misses an atom."""
+    rng = np.random.default_rng(31)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        n = int(rng.integers(1, 16))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        keep = rng.random(len(pairs)) < rng.uniform(0.05, 0.5)
+        bonds = tuple((a, b, 1) if rng.random() < 0.5 else (b, a, 1)
+                      for (a, b), k in zip(pairs, keep) if k)
+        graph = MolecularGraph(tuple(Atom("S", hcount=0) for _ in range(n)),
+                               tuple(bonds[i] for i in rng.permutation(len(bonds))))
+        disconnected = -1 in depth_first(graph, list(rng.permutation(n))).pos
+        try:
+            validate(graph)
+            raised = False
+        except ValenceError:  # checked after connectivity
+            raised = False
+        except GraphError as exc:
+            assert str(exc) == "graph is disconnected"
+            raised = True
+        assert raised == disconnected, graph
+        seen[disconnected] += 1
+    assert min(seen.values()) > 50, seen
 
 
 def test_validate_rejects_valence_overflow():

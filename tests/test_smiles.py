@@ -1,10 +1,18 @@
 """SMILES parser: grammar coverage, error positions, kekulization."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import moldae.smiles as smiles_module
 from moldae.canon import canonicalize, write_smiles
 from moldae.graph import Atom
-from moldae.smiles import KekulizationError, SmilesParseError, parse_smiles
+from moldae.smiles import _AROMATIC, KekulizationError, SmilesParseError, parse_smiles
 
 
 def test_single_atom():
@@ -144,6 +152,125 @@ def test_kekulize_ring_deeper_than_the_recursion_limit():
             doubles[a] += 1
             doubles[b] += 1
     assert doubles == [1] * 3000
+
+
+def single_search_kekulize(atoms, bonds) -> None:
+    """The Kekulé search as one depth-first search over every needy atom (the oracle).
+
+    Exponential when one part of the molecule cannot be matched: it retries
+    every other part's choices first.
+    """
+    aromatic_bonds = [pair for pair, order in bonds.items() if order == _AROMATIC]
+    if not aromatic_bonds and not any(a.aromatic for a in atoms):
+        return
+    adj, degree, has_explicit_pi = {}, {}, set()
+    for (a, b), order in bonds.items():
+        degree[a] = degree.get(a, 0) + 1
+        degree[b] = degree.get(b, 0) + 1
+        if order == _AROMATIC:
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+        elif order >= 2:
+            has_explicit_pi.update((a, b))
+
+    def needs_double(idx):
+        atom = atoms[idx]
+        if not atom.aromatic or idx in has_explicit_pi:
+            return False
+        if atom.element in ("C", "B"):
+            return True
+        if atom.element in ("N", "P"):
+            if atom.hcount is not None and atom.hcount >= 1:
+                return False
+            return degree.get(idx, 0) < 3
+        return False
+
+    needy = sorted(i for i, a in enumerate(atoms) if a.aromatic and needs_double(i))
+    partners = {u: [v for v in sorted(adj.get(u, [])) if needs_double(v)] for u in needy}
+    match, frames, pos = {}, [], 0
+    while True:
+        while pos < len(needy) and needy[pos] in match:
+            pos += 1
+        if pos == len(needy):
+            break
+        untried = iter(partners[needy[pos]])
+        while (v := next(untried, -1)) < 0 or v in match:
+            if v < 0:
+                if not frames:
+                    raise KekulizationError("aromatic ring cannot be kekulized", atoms[needy[0]].pos)
+                pos, untried = frames.pop()
+                del match[match.pop(needy[pos])]
+        match[needy[pos]] = v
+        match[v] = needy[pos]
+        frames.append((pos, untried))
+        pos += 1
+    for a, b in aromatic_bonds:
+        bonds[(a, b)] = 2 if match.get(a) == b else 1
+
+
+_AROMATIC_FRAGMENTS = ["c1ccccc1", "c1cccc1", "c1ccc2ccccc2c1", "c1ccc2cc3ccccc3cc2c1",
+                       "c1cc2ccc3cccc4ccc(c1)c2c34", "c1ccc2[nH]ccc2c1", "c1ccncc1", "c1ccoc1",
+                       "c1cc(cc(c1)c1ccccc1)c1ccccc1", "c1ccccc1c", "c1ccc(C)cc1"]
+
+
+def _random_aromatic(rng) -> str:
+    """1-4 aromatic fragments, some atoms swapped for n, o, s or [nH], joined by bonds or links."""
+    parts = []
+    for _ in range(int(rng.integers(1, 5))):
+        text = str(rng.choice(_AROMATIC_FRAGMENTS))
+        parts.append("".join(
+            str(rng.choice(["c", "n", "o", "s", "[nH]"], p=[0.7, 0.15, 0.05, 0.05, 0.05]))
+            if ch == "c" and rng.random() < 0.3 else ch for ch in text))
+    return "".join(part + str(rng.choice(["", "-", "C", "=C"])) for part in parts[:-1]) + parts[-1]
+
+
+def _parse_outcome(text: str):
+    try:
+        graph = parse_smiles(text)
+    except SmilesParseError as exc:
+        return type(exc).__name__, str(exc), exc.position
+    return graph
+
+
+def test_kekulize_components_equal_single_search(monkeypatch):
+    rng = np.random.default_rng(17)
+    inputs = [_random_aromatic(rng) for _ in range(600)]
+    inputs += ["c1ccc(cc1)-" * k + "c1cccc1" for k in range(1, 7)]
+    inputs += ["c1ccc(cc1)-" * k + "c1ccccc1" for k in range(1, 7)]
+    ours = [_parse_outcome(text) for text in inputs]
+    monkeypatch.setattr(smiles_module, "_kekulize", single_search_kekulize)
+    oracle = [_parse_outcome(text) for text in inputs]
+    assert ours == oracle
+    failed = sum(isinstance(o, tuple) and o[0] == "KekulizationError" for o in ours)
+    assert 100 < failed < len(inputs) - 100, failed
+
+
+_TIME_KEKULE_FAILURE = """
+import json, sys, time
+from moldae.smiles import KekulizationError, parse_smiles
+start = time.perf_counter()
+try:
+    parse_smiles(sys.argv[1])
+except KekulizationError as exc:
+    print(json.dumps([str(exc), exc.position, time.perf_counter() - start]))
+"""
+
+
+def test_kekulize_failure_after_30_benzene_rings_within_a_second():
+    """One odd ring after k benzene rings: the single search took about 4x longer per two rings."""
+    import moldae
+
+    env = dict(os.environ, PYTHONPATH=str(Path(moldae.__file__).parents[1]))
+    text = "c1ccc(cc1)-" * 30 + "c1cccc1"
+    try:
+        proc = subprocess.run([sys.executable, "-c", _TIME_KEKULE_FAILURE, text],
+                              env=env, capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("the Kekulé search ran past 60 s")
+    assert proc.returncode == 0, proc.stderr
+    message, position, seconds = json.loads(proc.stdout)
+    assert position == 0 and message.startswith("aromatic ring cannot be kekulized")
+    assert seconds < 1.0, seconds
 
 
 def test_aromatic_vs_kekulized_input_agree():

@@ -61,7 +61,7 @@ class Tensor:
 
         `owned` says the caller has just allocated `g` and keeps no other
         reference, so the first gradient may adopt it. Anything else — a view
-        (reshape/transpose backward) or an array handed to two parents (add's
+        (transpose backward) or an array handed to two parents (add's
         `g`) — is copied, since a later `+=` would write through it.
         """
         if self.grad is None:
@@ -152,29 +152,6 @@ def mul(a: Tensor, b) -> Tensor:
             b.accumulate(_unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return _make(out_data, (a, b), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            a.accumulate(_unbroadcast(ga, a.data.shape), owned=True)
-        if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            b.accumulate(_unbroadcast(gb, b.data.shape), owned=True)
-
-    return _make(out_data, (a, b), backward)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    out_data = a.data.reshape(shape)
-
-    def backward(g):
-        a.accumulate(g.reshape(a.data.shape))
-
-    return _make(out_data, (a,), backward)
 
 
 def transpose(a: Tensor, axes) -> Tensor:

@@ -7,9 +7,9 @@ Exit codes come from one ordered table in main(); the first row whose
 exception classes match wins, and main prints `error: <message>` to stderr:
 
   3  configuration: ConfigError (bad or unknown config key or value,
-     unreadable eval-prop manifest or dataset), ModelConfigError; also a
-     usage error (missing or invalid flag), for which argparse prints the
-     usage line
+     unreadable eval-prop manifest or dataset, make-corpus --n below 1),
+     ModelConfigError, TrainSettingsError; also a usage error (missing or
+     invalid flag), for which argparse prints the usage line
   2  I/O and artifacts: OSError (missing or unwritable file or directory),
      CheckpointError (corrupt or truncated checkpoint, one without a
      vocabulary or whose vocabulary does not fit the model, --resume from one
@@ -18,7 +18,7 @@ exception classes match wins, and main prints `error: <message>` to stderr:
      training corpus)
   1  domain: TrainingDivergedError, RecursionError, ValueError (every other
      moldae error: bad molecule, grammar or metric input, generate
-     --max-len below 2)
+     --max-len below 2 or --temperature not finite and > 0)
   0  ok; a molecule that cannot be processed (one of propeval.REJECTS) does
      not end a run: convert and embed write it as a
      blank line plus a `<lineno>\t<reason>` row of <output>.rejects and
@@ -187,7 +187,7 @@ def _per_line(args, convert, config: dict[str, str], summary: str, finish=None) 
             flush(out)
     write_text(str(out_path) + ".rejects", "".join(f"{r}\n" for r in rejects))
     counts = {"lines": lines, "rejected": len(rejects), "by_type": dict(sorted(by_type.items()))}
-    write_text(str(out_path) + ".rejects.json", json.dumps(counts, indent=2) + "\n")
+    write_text(str(out_path) + ".rejects.json", json.dumps(counts, indent=2, allow_nan=False) + "\n")
     echo_config({"command": args.command, "input": args.input, "output": args.output,
                  "lenient": str(args.lenient).lower(), **config}, Path(str(out_path) + ".config.txt"))
     print(summary.format(kept=lines - len(rejects), total=lines, rejected=len(rejects)))
@@ -216,6 +216,8 @@ def cmd_make_corpus(args) -> int:
     from .checkpoint import write_text
     from .corpus import sample_corpus
 
+    if args.n < 1:
+        raise ConfigError(f"make-corpus --n must be >= 1, got {args.n}")
     molecules = sample_corpus(args.n, args.seed, args.min_atoms, args.max_tokens)
     path = Path(args.output)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -249,9 +251,7 @@ def cmd_train(args) -> int:
             kwargs[cls][key] = type(f.default)(value)
         except ValueError as exc:
             raise ConfigError(f"config key {key}: {exc}") from exc
-    settings = TrainSettings(**kwargs[TrainSettings])
-    if settings.dtype not in ("float32", "float64"):
-        raise ConfigError(f"config key dtype: {settings.dtype!r} is neither float32 nor float64")
+    settings = TrainSettings(**kwargs[TrainSettings]).validate()
 
     lines = [ln.strip() for ln in Path(args.corpus).read_text(encoding="utf-8").splitlines()]
     if not any(lines):
@@ -293,7 +293,7 @@ def cmd_generate(args) -> int:
     stats = {"n": len(generated), "empty": generated.empty, "truncated": generated.truncated,
              "sampled_tokens": generated.tokens, "seconds": round(seconds, 6),
              "tokens_per_s": round(generated.tokens / seconds, 1)}
-    write_text(out_dir / "generation_stats.json", json.dumps(stats, indent=2) + "\n")
+    write_text(out_dir / "generation_stats.json", json.dumps(stats, indent=2, allow_nan=False) + "\n")
     print(f"generated {args.n} sequences; {len(generated.valid())} non-empty molecules; "
           f"{generated.empty} empty, {generated.truncated} cut off at max_len; "
           f"{generated.tokens} tokens in {seconds:.2f} s ({stats['tokens_per_s']:.0f} tokens/s)")
@@ -394,12 +394,12 @@ def main(argv=None) -> int:
     from .checkpoint import CheckpointError
     from .model import ModelConfigError
     from .tokenizer import VocabularyError
-    from .training import TrainingDivergedError
+    from .training import TrainingDivergedError, TrainSettingsError
 
     # Ordered: the first row with a matching class wins. ValueError is the base
     # of every other moldae error class, so it comes last.
     exit_codes = (
-        ((ConfigError, ModelConfigError), EXIT_CONFIG),
+        ((ConfigError, ModelConfigError, TrainSettingsError), EXIT_CONFIG),
         ((OSError, CheckpointError, VocabularyError), EXIT_IO),
         ((TrainingDivergedError, RecursionError, ValueError), EXIT_DOMAIN),
     )

@@ -1,4 +1,4 @@
-"""Hashed circular fingerprints and Tanimoto similarity.
+"""Hashed circular fingerprints.
 
 Each atom contributes one environment per radius 0..r: the radius-0
 environment is the atom invariant (element, charge, total hydrogens, degree,
@@ -12,13 +12,12 @@ most HASH_CHUNK_ENVS atoms, and hashes each radius layer of a group in one
 numpy pass per byte position over the environments still that long
 (`_fnv1a64`). The uint64 wraparound is FNV-1a's arithmetic modulo 2**64, so
 every bit equals the scalar byte loop's. The chunk bounds the working set,
-whatever the number of molecules; `fingerprint` is its one-molecule case.
+whatever the number of molecules.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,19 +35,6 @@ MAX_WIDTH = 1 << 24
 
 class FingerprintError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Fingerprint:
-    bits: np.ndarray  # bool vector of length width
-    radius: int
-
-    @property
-    def width(self) -> int:
-        return int(self.bits.shape[0])
-
-    def popcount(self) -> int:
-        return int(self.bits.sum())
 
 
 def _fnv1a64(texts: list[str]) -> np.ndarray:
@@ -103,9 +89,9 @@ def _group_bits(group: list[MolecularGraph], radius: int, width: int) -> np.ndar
 def fingerprints(graphs: Iterable[MolecularGraph], radius: int = 2, width: int = 1024) -> np.ndarray:
     """(n, width) bool circular fingerprints, one row per graph, in input order.
 
-    Each row equals `fingerprint(graph, radius, width).bits`. `graphs` is
-    read once, in groups of at most HASH_CHUNK_ENVS atoms (a larger molecule
-    makes a group alone), so a generator keeps only one group alive.
+    A row does not depend on the other graphs. `graphs` is read once, in
+    groups of at most HASH_CHUNK_ENVS atoms (a larger molecule makes a group
+    alone), so a generator keeps only one group alive.
     """
     if radius < 0:
         raise FingerprintError("radius must be >= 0")
@@ -125,19 +111,3 @@ def fingerprints(graphs: Iterable[MolecularGraph], radius: int = 2, width: int =
     if group:
         blocks.append(_group_bits(group, radius, width))
     return np.concatenate(blocks)
-
-
-def fingerprint(graph: MolecularGraph, radius: int = 2, width: int = 1024) -> Fingerprint:
-    """Circular fingerprint of the graph; invariant under atom relabeling."""
-    return Fingerprint(fingerprints([graph], radius, width)[0], radius)
-
-
-def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
-    """|a AND b| / |a OR b|; two all-zero vectors count as identical (1.0)."""
-    if a.width != b.width:
-        raise FingerprintError(f"fingerprint widths differ: {a.width} vs {b.width}")
-    union = int(np.logical_or(a.bits, b.bits).sum())
-    if union == 0:
-        return 1.0
-    inter = int(np.logical_and(a.bits, b.bits).sum())
-    return inter / union

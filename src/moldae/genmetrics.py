@@ -85,7 +85,7 @@ class GenerationReport:
             "fingerprint": {"radius": self.fingerprint_radius, "width": self.fingerprint_width},
             "provenance": {"seed": self.seed, "checkpoint_id": self.checkpoint_id},
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def to_table(self) -> str:
         rows = [
@@ -191,13 +191,6 @@ def _diversities(generated: GeneratedSet, powers: tuple[int, ...], radius: int, 
         for j, p in enumerate(powers):
             totals[j] += float((sim**p).sum())
     return [1.0 - (total / len(distinct) ** 2) ** (1.0 / p) for total, p in zip(totals, powers)]
-
-
-def internal_diversity(generated: GeneratedSet, p: int = 1, radius: int = 2, width: int = 1024) -> float:
-    """1 - (mean of pairwise Tanimoto^p over distinct valid molecules)^(1/p)."""
-    if p not in (1, 2):
-        raise MetricsError("p must be 1 or 2")
-    return _diversities(generated, (p,), radius, width)[0]
 
 
 def load_training_canon(path: str | Path) -> set[str]:

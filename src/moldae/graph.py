@@ -1,4 +1,4 @@
-"""Molecular graph type, validation, the depth-first spanning tree, and relabeling.
+"""Molecular graph type, validation, and the depth-first spanning tree.
 
 A MolecularGraph is an immutable connected multigraph-free graph: atoms with
 element / formal charge / optional pinned hydrogen count, and bonds with
@@ -167,22 +167,3 @@ def validate(graph: MolecularGraph) -> MolecularGraph:
                 f"max is {MAX_VALENCE[atom.element]}"
             )
     return graph
-
-
-def permute(graph: MolecularGraph, perm: list[int]) -> MolecularGraph:
-    """Relabel atoms so new index perm[i] hosts old atom i.
-
-    perm must be a permutation of range(len(graph)). Used by the
-    canonical-form fuzz tests; isomorphic by construction.
-    """
-    if sorted(perm) != list(range(len(graph.atoms))):
-        raise GraphError("not a permutation")
-    atoms: list[Atom | None] = [None] * len(graph.atoms)
-    for old, new in enumerate(perm):
-        atoms[new] = graph.atoms[old]
-    bonds = tuple((perm[a], perm[b], o) for a, b, o in graph.bonds)
-    return MolecularGraph(tuple(atoms), bonds)  # type: ignore[arg-type]
-
-
-def heavy_atom_count(graph: MolecularGraph) -> int:
-    return sum(1 for a in graph.atoms if a.element != "H")

@@ -22,6 +22,7 @@ attention and the output projection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -389,8 +390,8 @@ def sample_batch(params, config: ModelConfig, rngs: list[np.random.Generator],
     to the batch rows once. Decode steps run at full batch width, and each
     step samples every live row in one array pass.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
     max_len = config.max_len if max_len is None else min(max_len, config.max_len)
     if max_len < 2:
         raise ValueError(f"max_len must be >= 2 (<bos> and one sampled token), got {max_len}")

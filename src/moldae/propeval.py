@@ -334,6 +334,24 @@ def rmse(predictions: np.ndarray, labels: np.ndarray) -> float:
     return float(np.sqrt(np.mean((predictions - labels) ** 2)))
 
 
+def mean_rmse(predictions: np.ndarray, labels: np.ndarray) -> float:
+    """Unweighted mean RMSE over label columns, each over its present labels.
+
+    Missing labels (NaN) are excluded per column; columns with none present
+    are skipped.
+    """
+    predictions = np.asarray(predictions, dtype=np.float64).reshape(len(predictions), -1)
+    labels = np.asarray(labels, dtype=np.float64).reshape(len(labels), -1)
+    values = []
+    for j in range(labels.shape[1]):
+        mask = ~np.isnan(labels[:, j])
+        if mask.any():
+            values.append(rmse(predictions[mask, j], labels[mask, j]))
+    if not values:
+        raise DatasetError("no label column has a label present")
+    return float(np.mean(values))
+
+
 @dataclass(frozen=True)
 class PropertyResult:
     dataset: str
@@ -363,6 +381,7 @@ class PropertyResult:
             },
             sort_keys=True,
             indent=2,
+            allow_nan=False,
         ) + "\n"
 
 
@@ -377,10 +396,7 @@ def evaluate_dataset(dataset: PropertyDataset, params, config: ModelConfig, voca
     assignment = split(reduced, ratios, seed)
     tr, va, te = (assignment.indices(f) for f in ("train", "valid", "test"))
 
-    def metric(scores: np.ndarray, y: np.ndarray) -> float:
-        if dataset.task == "classification":
-            return mean_roc_auc(scores, y)
-        return rmse(scores[:, 0], y[:, 0])
+    metric = mean_roc_auc if dataset.task == "classification" else mean_rmse
 
     best: tuple[float, float, Probe] | None = None
     for lam in lambda_grid:

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .elements import MAX_VALENCE, SUPPORTED_ELEMENTS
 from .graph import Atom, MolecularGraph, depth_first, validate
 
@@ -77,13 +75,6 @@ INDEX_ALPHABET: tuple[str, ...] = (
     "[O]", "[N]", "[=N]", "[=C]", "[#C]", "[S]", "[P]",
 )
 _INDEX_OF = {text: i for i, text in enumerate(INDEX_ALPHABET)}
-
-
-def token(text: str) -> SelfiesToken:
-    tok = TOKENS_BY_TEXT.get(text)
-    if tok is None:
-        raise SelfiesError(f"symbol {text!r} is not in the alphabet", 0)
-    return tok
 
 
 def split_selfies(text: str) -> tuple[SelfiesToken, ...]:
@@ -287,11 +278,3 @@ def encode(graph: MolecularGraph) -> tuple[SelfiesToken, ...]:
         tokens += closures[node]
         stack.extend(reversed(tree.children[node]))
     return tuple(tokens)
-
-
-def random_token_string(rng: np.random.Generator, length: int) -> tuple[SelfiesToken, ...]:
-    """Uniform i.i.d. tokens from the full alphabet; reproducible per rng state."""
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    idx = rng.integers(0, len(ALPHABET), size=length)
-    return tuple(ALPHABET[int(j)] for j in idx)

@@ -9,6 +9,7 @@ counter, and the vocabulary and TrainSettings (which a resume must match).
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -29,6 +30,10 @@ class TrainingDivergedError(RuntimeError):
     pass
 
 
+class TrainSettingsError(ValueError):
+    pass
+
+
 def tagged_rng(seed: int, tag: str, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, _TAGS[tag], index)))
 
@@ -46,6 +51,24 @@ class TrainSettings:
     checkpoint_interval: int = 0  # 0: only at the end
     seed: int = 0
     dtype: str = "float32"
+
+    def validate(self) -> "TrainSettings":
+        checks = (
+            ("steps", self.steps >= 0, ">= 0"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("peak_lr", math.isfinite(self.peak_lr) and self.peak_lr > 0, "finite and > 0"),
+            ("warmup_frac", 0 <= self.warmup_frac <= 1, "in [0, 1]"),
+            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+            ("eps", self.eps > 0, "> 0"),
+            ("mask_rate", 0 <= self.mask_rate <= 1, "in [0, 1]"),
+            ("checkpoint_interval", self.checkpoint_interval >= 0, ">= 0"),
+            ("dtype", self.dtype in ("float32", "float64"), "float32 or float64"),
+        )
+        for key, ok, rule in checks:
+            if not ok:
+                raise TrainSettingsError(f"config key {key}: {getattr(self, key)!r} is not {rule}")
+        return self
 
 
 @dataclass
@@ -156,6 +179,7 @@ def train(
     is made, so a run that fails there writes nothing.
     """
     config.validate()
+    settings.validate()
     dtype = np.float64 if settings.dtype == "float64" else np.float32
     sequences, skipped = load_token_corpus(corpus_path, vocab, config.max_len)
 

@@ -17,11 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import random_token_string, scalar_fingerprint, tanimoto
 from moldae import selfies as sfm
 from moldae.canon import canonicalize
 from moldae.cli import main as cli_main
 from moldae.corpus import sample_corpus
-from moldae.fingerprint import fingerprint, tanimoto
 from moldae.genmetrics import GeneratedSet, build_report, generate_set
 from moldae.graph import validate
 from moldae.model import ModelConfig, batch_denoise_loss, init_model
@@ -87,7 +87,7 @@ def test_criterion_1_grammar_totality():
     started = time.perf_counter()
     decoded = 0
     for _ in range(10_000):
-        tokens = sfm.random_token_string(rng, int(rng.integers(1, 61)))
+        tokens = random_token_string(rng, int(rng.integers(1, 61)))
         validate(sfm.decode(tokens))
         decoded += 1
     elapsed = time.perf_counter() - started
@@ -225,16 +225,15 @@ def test_criterion_7_generation_protocol(toy_run, toy_generated):
     # brute-force double-loop oracle on a 20-molecule subsample
     subsample = sorted(set(generated.valid()))[:20]
     sub = GeneratedSet(("",) * len(subsample), tuple(subsample))
-    fps = [fingerprint(parse_smiles(s)) for s in subsample]
-    for p in (1, 2):
+    fps = [scalar_fingerprint(parse_smiles(s)) for s in subsample]
+    sub_report = build_report(sub, set())
+    for p, value in ((1, sub_report.intdiv1), (2, sub_report.intdiv2)):
         total = 0.0
         for fa in fps:
             for fb in fps:
                 total += tanimoto(fa, fb) ** p
         expected = 1.0 - (total / len(fps) ** 2) ** (1.0 / p)
-        from moldae.genmetrics import internal_diversity
-
-        assert abs(internal_diversity(sub, p) - expected) <= 1e-12
+        assert abs(value - expected) <= 1e-12
     report(7, f"validity {rep.validity:.3f} (empty {empty}/1000), unique@1K {rep.unique_at_k:.3f}, "
               f"novelty {rep.novelty:.3f}, IntDiv1 {rep.intdiv1:.3f}, IntDiv2 {rep.intdiv2:.3f}; "
               f"20-subsample IntDiv matches brute force to 1e-12")
@@ -260,14 +259,12 @@ def test_criterion_8_metric_oracles():
         brute = math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)) / 23)
         assert abs(rmse(a, b) - brute) <= 1e-12
     # IntDiv closed forms
-    from moldae.genmetrics import internal_diversity
-
     single = GeneratedSet(("",), (canonicalize(parse_smiles("CCO")),))
-    assert internal_diversity(single, 1) == 0.0
+    assert build_report(single, set()).intdiv1 == 0.0
     a_, b_ = canonicalize(parse_smiles("C")), canonicalize(parse_smiles("O"))
-    assert tanimoto(fingerprint(parse_smiles(a_)), fingerprint(parse_smiles(b_))) == 0.0
+    assert tanimoto(scalar_fingerprint(parse_smiles(a_)), scalar_fingerprint(parse_smiles(b_))) == 0.0
     pair_set = GeneratedSet(("", ""), (a_, b_))
-    assert internal_diversity(pair_set, 1) == pytest.approx(0.5, abs=1e-15)
+    assert build_report(pair_set, set()).intdiv1 == pytest.approx(0.5, abs=1e-15)
     report(8, "roc_auc exact vs 50 exhaustive enumerations; rmse brute-force to 1e-12; "
               "IntDiv closed forms exact")
 
@@ -352,7 +349,11 @@ def run_pipeline(root: Path) -> dict[str, bytes]:
     manifest.write_text("task=regression\nsmiles=smiles\nlabels=y\nname=toy\n")
     assert cli_main(["eval-prop", "--checkpoint", ckpt, "--dataset", str(dataset),
                      "--manifest", str(manifest), "--out-dir", str(root / "prop"), "--seed", "2"]) == 0
+    # The other config echoes hold this run's tmp paths, so they cannot be pinned.
     files = {
+        "c.smiles": corpus,
+        "c.smiles.config.txt": root / "c.smiles.config.txt",
+        "c.selfies": selfies_path,
         "checkpoint": run / "checkpoint_final.bin",
         "generated.selfies": gen / "generated.selfies",
         "generated.smiles": gen / "generated.smiles",

@@ -194,14 +194,13 @@ def test_embed_matrix(trained, tmp_path):
 
 
 def test_eval_prop_pipeline(trained, tmp_path):
-    from moldae.graph import heavy_atom_count
     from moldae.smiles import parse_smiles
 
     root, out_dir, _ = trained
     molecules = (root / "corpus.smiles").read_text().splitlines()[:60]
     csv_path = tmp_path / "data.csv"
     rows = ["smiles,y"]
-    rows += [f"{s},{float(heavy_atom_count(parse_smiles(s)))}" for s in molecules]
+    rows += [f"{s},{float(sum(a.element != 'H' for a in parse_smiles(s).atoms))}" for s in molecules]
     csv_path.write_text("\n".join(rows) + "\n")
     manifest = tmp_path / "task.manifest"
     manifest.write_text("task=regression\nsmiles=smiles\nlabels=y\nname=toy\n")
@@ -317,6 +316,15 @@ def _reordered_corpus(root, tmp):
     return _write(tmp, "reordered.selfies", "\n".join(reversed(lines)) + "\n")
 
 
+def _train_set(root, tmp, setting):
+    return ["train", "--corpus", str(root / "corpus.selfies"), "--out-dir", str(tmp / "t"),
+            "--config", str(root / "train.config"), "--set", setting]
+
+
+def _make_corpus(tmp, n):
+    return ["make-corpus", "--n", n, "--output", str(tmp / "corpus" / "c.smiles")]
+
+
 def _below_file(tmp, name):
     (tmp / "plain").write_text("")
     return str(tmp / "plain" / name)
@@ -354,6 +362,31 @@ FAILURES = {
     "train-unknown-dtype": (lambda run, root, tmp: [
         "train", "--corpus", str(root / "corpus.selfies"), "--out-dir", str(tmp / "t"),
         "--set", "dtype=float16"], 3, "config key dtype: 'float16'"),
+    "train-negative-steps": (lambda run, root, tmp: _train_set(root, tmp, "steps=-1"), 3,
+                             "config key steps: -1 is not >= 0"),
+    "train-zero-batch-size": (lambda run, root, tmp: _train_set(root, tmp, "batch_size=0"), 3,
+                              "config key batch_size: 0 is not >= 1"),
+    "train-nan-peak-lr": (lambda run, root, tmp: _train_set(root, tmp, "peak_lr=nan"), 3,
+                          "config key peak_lr: nan is not finite and > 0"),
+    "train-negative-warmup-frac": (lambda run, root, tmp: _train_set(root, tmp, "warmup_frac=-1"), 3,
+                                   "config key warmup_frac: -1.0 is not in [0, 1]"),
+    "train-beta1-one": (lambda run, root, tmp: _train_set(root, tmp, "beta1=1"), 3,
+                        "config key beta1: 1.0 is not in [0, 1)"),
+    "train-negative-beta2": (lambda run, root, tmp: _train_set(root, tmp, "beta2=-0.5"), 3,
+                             "config key beta2: -0.5 is not in [0, 1)"),
+    "train-zero-eps": (lambda run, root, tmp: _train_set(root, tmp, "eps=0"), 3,
+                       "config key eps: 0.0 is not > 0"),
+    "train-mask-rate-above-one": (lambda run, root, tmp: _train_set(root, tmp, "mask_rate=2"), 3,
+                                  "config key mask_rate: 2.0 is not in [0, 1]"),
+    "train-negative-checkpoint-interval": (lambda run, root, tmp: _train_set(
+        root, tmp, "checkpoint_interval=-1"), 3, "config key checkpoint_interval: -1 is not >= 0"),
+    "generate-nan-temperature": (lambda run, root, tmp: _generate(
+        str(run / "checkpoint_final.bin"), str(tmp / "gen")) + ["--temperature", "nan"],
+        1, "temperature must be finite and > 0, got nan"),
+    "make-corpus-zero-n": (lambda run, root, tmp: _make_corpus(tmp, "0"), 3,
+                           "make-corpus --n must be >= 1, got 0"),
+    "make-corpus-negative-n": (lambda run, root, tmp: _make_corpus(tmp, "-3"), 3,
+                               "make-corpus --n must be >= 1, got -3"),
     "train-resume-without-adam-state": (lambda run, root, tmp: _resume(
         root, tmp, _without_adam(run, tmp)), 2, "no_adam.bin: missing tensor adam.m."),
     "train-resume-bad-magic": (lambda run, root, tmp: _resume(
@@ -396,13 +429,20 @@ def test_failures_exit_with_documented_code(case, trained, tmp_path, capsys):
     assert message in err
 
 
-@pytest.mark.parametrize("bad", [["--max-len", "1"], ["--temperature", "0"]])
+@pytest.mark.parametrize("bad", [["--max-len", "1"], ["--temperature", "0"], ["--temperature", "nan"]])
 def test_failed_generate_leaves_no_out_dir(bad, trained, tmp_path, capsys):
     root, run, _ = trained
     out_dir = tmp_path / "gen"
     assert main(_generate(str(run / "checkpoint_final.bin"), str(out_dir)) + bad) == 1
     assert "error: " in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("case", ["make-corpus-zero-n", "make-corpus-negative-n"])
+def test_failed_make_corpus_writes_nothing(case, tmp_path):
+    build, code, _ = FAILURES[case]
+    assert main(build(None, None, tmp_path)) == code == 3
+    assert not (tmp_path / "corpus").exists()
 
 
 def test_failed_train_leaves_no_out_dir(trained, tmp_path, capsys):

@@ -1,47 +1,14 @@
-"""Circular fingerprints and Tanimoto similarity."""
+"""Circular fingerprints: the batched kernel against its one-molecule definition."""
 
 import numpy as np
 import pytest
 
 import moldae.fingerprint as fingerprint_module
+from helpers import permute, scalar_fingerprint, scalar_fnv1a
 from moldae.corpus import sample_corpus
-from moldae.fingerprint import (Fingerprint, FingerprintError, _fnv1a64, fingerprint, fingerprints,
-                                tanimoto)
-from moldae.graph import Atom, MolecularGraph, permute, validate
+from moldae.fingerprint import FingerprintError, _fnv1a64, fingerprints
+from moldae.graph import Atom, MolecularGraph, validate
 from moldae.smiles import parse_smiles
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def scalar_fnv1a(data: bytes) -> int:
-    """The byte-at-a-time FNV-1a 64 that `_fnv1a64` vectorizes (the oracle)."""
-    h = _FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
-    return h
-
-
-def scalar_fingerprint(graph: MolecularGraph, radius: int = 2, width: int = 1024) -> np.ndarray:
-    """One molecule at a time, one environment at a time: the fingerprint's definition."""
-
-    def hash_tuple(parts: tuple) -> int:
-        return scalar_fnv1a(repr(parts).encode("ascii"))
-
-    adj = graph.neighbors()
-    env = [hash_tuple((atom.element, atom.charge, graph.total_hydrogens(i), len(adj[i]),
-                       tuple(sorted(o for _, o in adj[i]))))
-           for i, atom in enumerate(graph.atoms)]
-    bits = np.zeros(width, dtype=bool)
-    for h in env:
-        bits[h % width] = True
-    for _ in range(radius):
-        env = [hash_tuple((env[i], tuple(sorted((o, env[j]) for j, o in adj[i]))))
-               for i in range(len(graph.atoms))]
-        for h in env:
-            bits[h % width] = True
-    return bits
 
 
 def _long_chain(rng, n: int) -> MolecularGraph:
@@ -69,26 +36,26 @@ _RING_SYSTEMS = [
 
 
 def test_radius_zero_single_atom_one_bit():
-    fp = fingerprint(parse_smiles("C"), radius=0)
-    assert fp.popcount() == 1
-    assert fp.width == 1024
+    (row,) = fingerprints([parse_smiles("C")], radius=0)
+    assert row.sum() == 1
+    assert row.shape == (1024,)
 
 
 def test_validation():
     g = parse_smiles("C")
     with pytest.raises(FingerprintError):
-        fingerprint(g, radius=-1)
+        fingerprints([g], radius=-1)
     with pytest.raises(FingerprintError):
-        fingerprint(g, width=100)  # not a power of two
+        fingerprints([g], width=100)  # not a power of two
     with pytest.raises(FingerprintError):
-        fingerprint(g, width=32)  # below minimum
+        fingerprints([g], width=32)  # below minimum
 
 
 def test_isomorphic_graphs_identical_bits(corpus_small, rng):
     for smiles in corpus_small[:30]:
         g = parse_smiles(smiles)
         p = permute(g, list(rng.permutation(len(g))))
-        assert np.array_equal(fingerprint(g).bits, fingerprint(p).bits), smiles
+        assert np.array_equal(*fingerprints([g, p])), smiles
 
 
 def test_cco_popcount_matches_manual_environment_enumeration():
@@ -102,45 +69,11 @@ def test_cco_popcount_matches_manual_environment_enumeration():
     3 + 3 + 3 = 9 distinct environments, and with 1024 bits they land on 9
     distinct bits.
     """
-    fp = fingerprint(parse_smiles("CCO"), radius=2, width=1024)
-    assert fp.popcount() == 9
+    assert fingerprints([parse_smiles("CCO")], radius=2, width=1024).sum() == 9
 
 
 def test_distinct_molecules_distinct_bits():
-    assert not np.array_equal(fingerprint(parse_smiles("CCO")).bits,
-                              fingerprint(parse_smiles("CCN")).bits)
-
-
-def test_tanimoto_identity_and_closed_form():
-    fp = fingerprint(parse_smiles("CC(=O)O"))
-    assert tanimoto(fp, fp) == 1.0
-
-    def mk(indices):
-        bits = np.zeros(64, dtype=bool)
-        bits[list(indices)] = True
-        return Fingerprint(bits, 0)
-
-    assert tanimoto(mk({1, 2}), mk({3, 4})) == 0.0
-    # |intersection|=2, |union|=5 -> 0.4
-    assert tanimoto(mk({1, 2, 3}), mk({2, 3, 4, 5})) == pytest.approx(0.4)
-    assert tanimoto(mk(set()), mk(set())) == 1.0
-    assert tanimoto(mk(set()), mk({1})) == 0.0
-
-
-def test_tanimoto_symmetric_and_one_iff_equal(corpus_small):
-    fps = [fingerprint(parse_smiles(s)) for s in corpus_small[:12]]
-    for a in fps:
-        for b in fps:
-            assert tanimoto(a, b) == tanimoto(b, a)
-            if tanimoto(a, b) == 1.0:
-                assert np.array_equal(a.bits, b.bits)
-
-
-def test_width_mismatch_rejected():
-    a = fingerprint(parse_smiles("C"), width=64)
-    b = fingerprint(parse_smiles("C"), width=128)
-    with pytest.raises(FingerprintError):
-        tanimoto(a, b)
+    assert not np.array_equal(*fingerprints([parse_smiles("CCO"), parse_smiles("CCN")]))
 
 
 def test_fnv1a64_known_answers():

@@ -5,17 +5,23 @@ import json
 import numpy as np
 import pytest
 
+from helpers import scalar_fingerprint, tanimoto
 from moldae.canon import canonicalize
-from moldae.fingerprint import fingerprint, fingerprints, tanimoto
+from moldae.fingerprint import fingerprints
 from moldae.genmetrics import (
-    GeneratedSet, MetricsError, build_report, draw_source_length, generate_set,
-    internal_diversity, novelty, unique_at, validity,
+    GeneratedSet, MetricsError, build_report, draw_source_length, generate_set, novelty, unique_at,
+    validity,
 )
 from moldae.smiles import parse_smiles
 
 
 def gen(*canon, raw=None):
     return GeneratedSet(tuple(raw or [""] * len(canon)), tuple(canon))
+
+
+def intdiv(generated: GeneratedSet, p: int) -> float:
+    """IntDiv_p (p = 1 or 2) as `build_report` reports it."""
+    return getattr(build_report(generated, set()), f"intdiv{p}")
 
 
 def test_validity_counts_empty_as_invalid():
@@ -57,30 +63,30 @@ def test_novelty_counting():
 
 def test_internal_diversity_closed_forms():
     mol = canonicalize(parse_smiles("CCO"))
-    assert internal_diversity(gen(mol), 1) == 0.0
-    assert internal_diversity(gen(mol), 2) == 0.0
+    assert intdiv(gen(mol), 1) == 0.0
+    assert intdiv(gen(mol), 2) == 0.0
     # two molecules with disjoint fingerprints: mean T = (1+1+0+0)/4 = 0.5
     a = canonicalize(parse_smiles("C"))
     b = canonicalize(parse_smiles("O"))
-    fa = fingerprint(parse_smiles(a))
-    fb = fingerprint(parse_smiles(b))
+    fa = scalar_fingerprint(parse_smiles(a))
+    fb = scalar_fingerprint(parse_smiles(b))
     assert tanimoto(fa, fb) == 0.0, "test premise: disjoint fingerprints"
-    assert internal_diversity(gen(a, b), 1) == pytest.approx(0.5, abs=1e-12)
-    assert internal_diversity(gen(a, b), 2) == pytest.approx(1 - np.sqrt(0.5), abs=1e-12)
+    assert intdiv(gen(a, b), 1) == pytest.approx(0.5, abs=1e-12)
+    assert intdiv(gen(a, b), 2) == pytest.approx(1 - np.sqrt(0.5), abs=1e-12)
 
 
 def test_internal_diversity_matches_brute_force(corpus_small):
     molecules = [canonicalize(parse_smiles(s)) for s in corpus_small[:20]]
     s = gen(*molecules)
-    fps = [fingerprint(parse_smiles(m)) for m in sorted(set(molecules))]
+    fps = [scalar_fingerprint(parse_smiles(m)) for m in sorted(set(molecules))]
     for p in (1, 2):
         total = 0.0
         for fa in fps:
             for fb in fps:
                 total += tanimoto(fa, fb) ** p
         expected = 1.0 - (total / len(fps) ** 2) ** (1.0 / p)
-        assert internal_diversity(s, p) == pytest.approx(expected, abs=1e-12)
-        assert 0.0 <= internal_diversity(s, p) <= 1.0
+        assert intdiv(s, p) == pytest.approx(expected, abs=1e-12)
+        assert 0.0 <= intdiv(s, p) <= 1.0
 
 
 def test_duplicates_do_not_change_distinct_metrics(corpus_small):
@@ -90,7 +96,7 @@ def test_duplicates_do_not_change_distinct_metrics(corpus_small):
     training = set(molecules[:2])
     assert novelty(base, training) == novelty(dup, training)
     for p in (1, 2):
-        assert internal_diversity(base, p) == internal_diversity(dup, p)
+        assert intdiv(base, p) == intdiv(dup, p)
 
 
 def test_report_json_and_table(corpus_small):
@@ -121,7 +127,7 @@ def test_build_report_fingerprints_each_distinct_molecule_once(corpus_small, mon
     assert sorted(canonicalize(g) for g in calls[0]) == sorted(set(molecules))
     assert len(calls[0]) == 6
     for p, value in ((1, report.intdiv1), (2, report.intdiv2)):
-        assert value == internal_diversity(gen(*molecules), p)
+        assert value == intdiv(gen(*molecules), p)
 
 
 def test_float32_similarity_products_equal_float64_bitwise(corpus_1k):

@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import permute
 from moldae import selfies as sf
 from moldae.canon import (_BOND_CHAR, _atom_text, _dense, _initial_ranks, _refine, _serialize, canonicalize,
                           write_smiles)
 from moldae.corpus import sample_corpus
-from moldae.graph import Atom, GraphError, MolecularGraph, ValenceError, depth_first, permute, validate
+from moldae.graph import Atom, GraphError, MolecularGraph, ValenceError, depth_first, validate
 from moldae.smiles import parse_smiles
 
 
@@ -374,10 +375,14 @@ _TIME_CANONICALIZE = """
 import json, sys, time
 import numpy as np
 from moldae.canon import canonicalize
-from moldae.graph import permute
+from moldae.graph import MolecularGraph
 from moldae.smiles import parse_smiles
 graph = parse_smiles(sys.argv[1])
-copy = permute(graph, list(np.random.default_rng(3).permutation(len(graph))))
+perm = list(np.random.default_rng(3).permutation(len(graph)))  # new index of each old atom
+atoms = [None] * len(graph)
+for old, new in enumerate(perm):
+    atoms[new] = graph.atoms[old]
+copy = MolecularGraph(tuple(atoms), tuple((perm[a], perm[b], o) for a, b, o in graph.bonds))
 out = []
 for g in (graph, copy):
     start = time.perf_counter()

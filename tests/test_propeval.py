@@ -1,6 +1,7 @@
 """Property-prediction harness: metrics oracles, probe behavior, split hygiene."""
 
 import importlib.util
+import json
 import sys
 import warnings
 from pathlib import Path
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from moldae.propeval import (
-    DatasetError, PropertyDataset, TaskManifest, evaluate_dataset, featurize,
-    load_dataset, mean_roc_auc, rmse, roc_auc, split, train_probe,
+    LAMBDA_GRID, DatasetError, PropertyDataset, TaskManifest, evaluate_dataset, featurize,
+    load_dataset, mean_rmse, mean_roc_auc, rmse, roc_auc, split, train_probe,
 )
 from moldae.tokenizer import load_vocab
 from moldae.training import load_params
@@ -91,6 +92,19 @@ def test_rmse_examples_and_oracle():
         assert rmse(a[perm], b[perm]) == pytest.approx(rmse(a, b), abs=1e-12)
     with pytest.raises(DatasetError):
         rmse(np.array([1.0]), np.array([1.0, 2.0]))
+
+
+def test_mean_rmse_per_column_over_present_labels():
+    pred = np.array([[1.0, 0.0], [2.0, 5.0], [3.0, 1.0]])
+    labels = np.array([[1.0, np.nan], [np.nan, 4.0], [5.0, np.nan]])
+    assert mean_rmse(pred, labels) == pytest.approx((brute_force_rmse([1.0, 3.0], [1.0, 5.0]) + 1.0) / 2)
+    labels[:, 1] = np.nan  # a column with no label present is skipped
+    assert mean_rmse(pred, labels) == rmse([1.0, 3.0], [1.0, 5.0])
+    with pytest.raises(DatasetError):
+        mean_rmse(pred, np.full((3, 2), np.nan))
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=17), rng.normal(size=17)
+    assert mean_rmse(a[:, None], b[:, None]) == rmse(a, b)  # one column: the same bits
 
 
 def test_split_sizes_and_determinism():
@@ -395,7 +409,6 @@ def test_featurize_drops_only_unembeddable_rows():
 
 def test_evaluate_dataset_multilabel_classification(toy_model, corpus_small):
     """Two binary labels with missing cells, scored as mean ROC-AUC."""
-    from moldae.graph import heavy_atom_count
     from moldae.smiles import parse_smiles
 
     params, config, vocab = toy_model
@@ -403,7 +416,7 @@ def test_evaluate_dataset_multilabel_classification(toy_model, corpus_small):
     labels = np.full((80, 2), np.nan)
     for i, s in enumerate(smiles):
         g = parse_smiles(s)
-        labels[i, 0] = float(heavy_atom_count(g) > 8)
+        labels[i, 0] = float(sum(a.element != "H" for a in g.atoms) > 8)
         if i % 3:  # second label sparsely observed
             labels[i, 1] = float(sum(a.element == "O" for a in g.atoms) > 0)
     ds = PropertyDataset("multilabel", "classification", tuple(smiles), labels)
@@ -413,14 +426,55 @@ def test_evaluate_dataset_multilabel_classification(toy_model, corpus_small):
 
 
 def test_evaluate_dataset_end_to_end(toy_model, corpus_small, tmp_path):
-    from moldae.graph import heavy_atom_count
     from moldae.smiles import parse_smiles
 
     params, config, vocab = toy_model
     smiles = corpus_small[:60]
-    labels = np.array([[float(heavy_atom_count(parse_smiles(s)))] for s in smiles])
+    labels = np.array([[float(sum(a.element != "H" for a in parse_smiles(s).atoms))] for s in smiles])
     ds = PropertyDataset("toy", "regression", tuple(smiles), labels)
     result = evaluate_dataset(ds, params, config, vocab, seed=0)
     assert result.metric_name == "rmse"
     assert np.isfinite(result.metric)
     assert result.lam in (1e-3, 1e-2, 0.1, 1.0, 10.0)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_evaluate_dataset_scores_every_regression_column(toy_model, corpus_small):
+    """Two label columns, each with missing labels in the valid and test folds.
+
+    Lambda is selected on, and the test fold scored by, the mean over columns
+    of each column's RMSE over its present labels; the result is strict JSON.
+    """
+    from moldae.smiles import parse_smiles
+
+    params, config, vocab = toy_model
+    smiles = corpus_small[:60]
+    labels = np.array([[float(len(s)), float(sum(a.element == "C" for a in parse_smiles(s).atoms))]
+                       for s in smiles])
+    labels[1::3, 0] = np.nan
+    labels[2::3, 1] = np.nan
+    dataset = PropertyDataset("two", "regression", tuple(smiles), labels)
+    result = evaluate_dataset(dataset, params, config, vocab, seed=0)
+
+    features, kept, _ = featurize(dataset, params, config, vocab)
+    y = labels[kept]
+    folds = split(PropertyDataset("two", "regression", tuple(smiles[i] for i in kept), y), seed=0)
+    tr, va, te = (folds.indices(f) for f in ("train", "valid", "test"))
+    assert np.isnan(y[va]).any(axis=0).all() and np.isnan(y[te]).any(axis=0).all()  # the premise
+
+    def brute_force_score(lam, rows):
+        pred = train_probe(features[tr], y[tr], "regression", lam).scores(features[rows])
+        per_column = []
+        for j in range(y.shape[1]):
+            present = [(p, l) for p, l in zip(pred[:, j], y[rows, j]) if not np.isnan(l)]
+            per_column.append(brute_force_rmse(*zip(*present)))
+        return sum(per_column) / len(per_column)
+
+    valid = {lam: brute_force_score(lam, va) for lam in LAMBDA_GRID}
+    assert result.lam == min(valid, key=valid.get)
+    assert result.metric == pytest.approx(brute_force_score(result.lam, te), abs=1e-12)
+    payload = json.loads(result.to_json(), parse_constant=_reject_constant)
+    assert payload["metric"] == result.metric

@@ -6,6 +6,7 @@ import traceback
 import numpy as np
 import pytest
 
+from helpers import permute, random_token_string
 from moldae import selfies as sf
 from moldae.canon import canonicalize, write_smiles
 from moldae.graph import validate
@@ -161,15 +162,15 @@ def test_decode_deepest_branch_nesting_within_the_recursion_limit():
 
 def test_decode_never_fails_random(rng):
     for _ in range(2000):
-        tokens = sf.random_token_string(rng, int(rng.integers(0, 61)))
+        tokens = random_token_string(rng, int(rng.integers(0, 61)))
         validate(sf.decode(tokens))
 
 
 def test_random_token_string_deterministic():
-    a = sf.random_token_string(np.random.default_rng(9), 25)
-    b = sf.random_token_string(np.random.default_rng(9), 25)
+    a = random_token_string(np.random.default_rng(9), 25)
+    b = random_token_string(np.random.default_rng(9), 25)
     assert [t.text for t in a] == [t.text for t in b]
-    assert sf.random_token_string(np.random.default_rng(9), 0) == ()
+    assert random_token_string(np.random.default_rng(9), 0) == ()
 
 
 def test_encode_methane_and_formaldehyde():
@@ -207,8 +208,6 @@ def test_roundtrip_corpus(corpus_1k):
 
 
 def test_roundtrip_survives_relabeling(corpus_small, rng):
-    from moldae.graph import permute
-
     for smiles in corpus_small[:40]:
         g = parse_smiles(smiles)
         p = permute(g, list(rng.permutation(len(g))))
@@ -218,7 +217,7 @@ def test_roundtrip_survives_relabeling(corpus_small, rng):
 def test_decoded_random_strings_are_writable(rng):
     # decoded garbage must serialize and re-parse like any other graph
     for _ in range(300):
-        tokens = sf.random_token_string(rng, int(rng.integers(1, 40)))
+        tokens = random_token_string(rng, int(rng.integers(1, 40)))
         g = sf.decode(tokens)
         if len(g):
             assert canonicalize(parse_smiles(write_smiles(g))) == canonicalize(g)

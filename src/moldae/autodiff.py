@@ -1,9 +1,14 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 A Tensor wraps an ndarray and remembers how it was produced; backward() walks
-the tape in reverse topological order. Only the operations the sequence model
-needs are provided, several of them fused into one tape node with
-hand-derived gradients — the finite-difference test suite checks every one:
+the tape in reverse topological order and consumes it as it goes, as PyTorch
+does by default (`retain_graph=False`): once a node's backward closure has
+run, the node drops its gradient, its parents and the closure, and with it
+every array the closure saved. Leaves (parameters) keep their gradients. A
+second backward() through a consumed node raises RuntimeError; a new forward
+pass builds the graph again. Only the operations the sequence model needs are
+provided, several of them fused into one tape node with hand-derived
+gradients — the finite-difference test suite checks every one:
 
 - `linear`: (..., d) @ (d, k) + bias as one flat GEMM (one GEMM per
   sequence under `no_grad`, so inference rows are batch-invariant);
@@ -73,7 +78,15 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Accumulate gradients of this (scalar) tensor w.r.t. every parent."""
+        """Accumulate gradients of this (scalar) tensor w.r.t. every parent, consuming the graph.
+
+        Nodes run their closures in reverse topological order. Each interior
+        node is freed as soon as its closure has run: its `grad`, `_parents`
+        and `_backward` are dropped, so the arrays the closure saved go with
+        them, and only the leaves (parameters, with no `_backward`) keep a
+        `grad`. A consumed node keeps its `data`; a second backward() through
+        it raises RuntimeError before any gradient moves.
+        """
         if self.data.ndim != 0 and self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         topo: list[Tensor] = []
@@ -86,15 +99,27 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _consumed:
+                _consumed()  # raises before any gradient moves
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.accumulate(np.ones_like(self.data), owned=True)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._parents, node._backward = None, (), _consumed
+
+
+def _consumed(g: np.ndarray | None = None) -> None:
+    """The `_backward` of a node that a backward() has freed."""
+    raise RuntimeError("backward() through a graph that an earlier backward() consumed; "
+                       "run the forward pass again")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:

@@ -4,7 +4,9 @@ Layout: magic bytes, format version (u32), config JSON (u32 length + UTF-8),
 tensor count (u32), then per tensor: name length (u16), name, dtype (u8:
 0 float32, 1 float64, 2 uint8), rank (u8), dims (u32 each), and the values,
 little-endian, in that dtype. Format 1, still readable, has no dtype byte (all
-float32). A write goes to a temporary file that is then renamed over the
+float32). The reader checks the config block against `ModelConfig` (exactly its
+fields, each of its type, then `validate()`); `training` checks the tensors
+against the config. A write goes to a temporary file that is then renamed over the
 target, so a failed write leaves the previous file intact; `atomic_write`
 does that for every file the CLI writes.
 """
@@ -15,12 +17,13 @@ import contextlib
 import json
 import os
 import struct
+import typing
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .model import ModelConfig
+from .model import ModelConfig, ModelConfigError
 
 MAGIC = b"MDAEckpt"
 VERSION = 2
@@ -89,16 +92,16 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
     if version not in (1, VERSION):
         raise CheckpointError(f"{path}: unsupported format version {version}")
     (blob_len,) = take("<I")
-    try:
-        config = ModelConfig(**json.loads(data[off : off + blob_len].decode("utf-8")))
-    except (ValueError, TypeError) as exc:
-        raise CheckpointError(f"{path}: unreadable config block ({exc})") from exc
+    config = _model_config(path, data[off : off + blob_len])
     off += blob_len
     (count,) = take("<I")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = take("<H")
-        name = data[off : off + name_len].decode("utf-8")
+        try:
+            name = data[off : off + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: tensor name at byte {off} is not UTF-8 ({exc})") from exc
         off += name_len
         (code,) = take("<B") if version > 1 else (0,)  # format 1: float32 only
         if code >= len(DTYPES):
@@ -114,3 +117,27 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
     if off != len(data):
         raise CheckpointError(f"{path}: trailing bytes after last tensor")
     return config, tensors
+
+
+def _model_config(path: str | Path, blob: bytes) -> ModelConfig:
+    """The config block: a JSON object with exactly ModelConfig's fields, each of its
+    field's type (an int may stand for a float), that passes `validate()`."""
+    try:
+        fields = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise CheckpointError(f"{path}: unreadable config block ({exc})") from exc
+    if not isinstance(fields, dict):
+        raise CheckpointError(f"{path}: config block is not a JSON object")
+    types = typing.get_type_hints(ModelConfig)
+    odd = sorted(fields.keys() ^ types.keys())
+    if odd:
+        raise CheckpointError(f"{path}: config field {odd[0]} is {'missing' if odd[0] in types else 'unknown'}")
+    for name, kind in types.items():
+        value = fields[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise CheckpointError(f"{path}: config field {name}: {value!r} is not {kind.__name__}")
+        fields[name] = kind(value)
+    try:
+        return ModelConfig(**fields).validate()
+    except ModelConfigError as exc:
+        raise CheckpointError(f"{path}: config block: {exc}") from exc

@@ -11,7 +11,8 @@ exception classes match wins, and main prints `error: <message>` to stderr:
      ModelConfigError, TrainSettingsError; also a usage error (missing or
      invalid flag), for which argparse prints the usage line
   2  I/O and artifacts: OSError (missing or unwritable file or directory),
-     CheckpointError (corrupt or truncated checkpoint, one without a
+     CheckpointError (corrupt or truncated checkpoint, a config block or
+     a parameter tensor that does not fit ModelConfig, one without a
      vocabulary or whose vocabulary does not fit the model, --resume from one
      without optimizer state or of another model config, vocabulary or
      training settings), VocabularyError (malformed vocabulary, empty

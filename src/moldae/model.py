@@ -70,50 +70,57 @@ class ModelConfig:
         return self
 
 
-def init_model(config: ModelConfig, rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
-    """Fresh parameters: N(0, 0.02) weights, zero biases, unit layer-norm gains.
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in creation order.
 
-    Creation order is fixed, so a given seed always yields the same tensors.
+    The one spec of the parameter set: `init_model` draws in this order, and a
+    checkpoint must hold exactly these tensors (`training.load_model`).
     """
-    config.validate()
-    params: dict[str, Tensor] = {}
-
-    def normal(name: str, *shape: int) -> None:
-        params[name] = Tensor(rng.normal(0.0, 0.02, shape).astype(dtype), requires_grad=True)
-
-    def zeros(name: str, *shape: int) -> None:
-        params[name] = Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-    def ones(name: str, *shape: int) -> None:
-        params[name] = Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
-
     d, ff = config.d_model, config.ff_width
-    normal("tok_emb", config.vocab_size, d)
-    normal("pos_emb", config.max_len, d)
+    shapes = {"tok_emb": (config.vocab_size, d), "pos_emb": (config.max_len, d)}
 
     def block(prefix: str, cross: bool) -> None:
         for part in (["self"] + (["cross"] if cross else [])):
             for w in ("wq", "wk", "wv", "wo"):
-                normal(f"{prefix}.{part}.{w}", d, d)
+                shapes[f"{prefix}.{part}.{w}"] = (d, d)
             for b in ("bq", "bk", "bv", "bo"):
-                zeros(f"{prefix}.{part}.{b}", d)
-        n_ln = 3 if cross else 2
-        for i in range(1, n_ln + 1):
-            ones(f"{prefix}.ln{i}.g", d)
-            zeros(f"{prefix}.ln{i}.b", d)
-        normal(f"{prefix}.ff.w1", d, ff)
-        zeros(f"{prefix}.ff.b1", ff)
-        normal(f"{prefix}.ff.w2", ff, d)
-        zeros(f"{prefix}.ff.b2", d)
+                shapes[f"{prefix}.{part}.{b}"] = (d,)
+        for i in range(1, (3 if cross else 2) + 1):
+            shapes[f"{prefix}.ln{i}.g"] = (d,)
+            shapes[f"{prefix}.ln{i}.b"] = (d,)
+        shapes[f"{prefix}.ff.w1"] = (d, ff)
+        shapes[f"{prefix}.ff.b1"] = (ff,)
+        shapes[f"{prefix}.ff.w2"] = (ff, d)
+        shapes[f"{prefix}.ff.b2"] = (d,)
 
     for i in range(config.encoder_layers):
         block(f"enc.{i}", cross=False)
-    ones("enc.ln_f.g", d)
-    zeros("enc.ln_f.b", d)
+    shapes["enc.ln_f.g"] = (d,)
+    shapes["enc.ln_f.b"] = (d,)
     for i in range(config.decoder_layers):
         block(f"dec.{i}", cross=True)
-    ones("dec.ln_f.g", d)
-    zeros("dec.ln_f.b", d)
+    shapes["dec.ln_f.g"] = (d,)
+    shapes["dec.ln_f.b"] = (d,)
+    return shapes
+
+
+def init_model(config: ModelConfig, rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
+    """Fresh parameters: unit layer-norm gains (`.g`), zero biases (`.b*`), N(0, 0.02) the rest.
+
+    The draws follow `param_shapes`' fixed order, so a given seed always yields
+    the same tensors.
+    """
+    config.validate()
+    params: dict[str, Tensor] = {}
+    for name, shape in param_shapes(config).items():
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf == "g":
+            data = np.ones(shape, dtype=dtype)
+        elif leaf.startswith("b"):
+            data = np.zeros(shape, dtype=dtype)
+        else:
+            data = rng.normal(0.0, 0.02, shape).astype(dtype)
+        params[name] = Tensor(data, requires_grad=True)
     return params
 
 
@@ -350,9 +357,15 @@ def _source_ids(source_length: int | None, config: ModelConfig) -> np.ndarray:
 
 
 def _sample_rows(logits: np.ndarray, temperature: float, rngs: list[np.random.Generator]) -> np.ndarray:
-    """One id per row of `logits` (R, V): a float64 softmax at `temperature`, then `_draw`."""
-    z = logits.astype(np.float64) / temperature
+    """One id per row of `logits` (R, V): a float64 softmax at `temperature`, then `_draw`.
+
+    The row maximum comes off before the division, so a tiny temperature sends
+    every other logit to -inf (probability 0), never to inf - inf = nan.
+    """
+    z = logits.astype(np.float64)
     z -= z.max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # a gap over T overflowing to -inf is probability 0
+        z /= temperature
     p = np.exp(z)
     p /= p.sum(axis=-1, keepdims=True)
     return _draw(p, rngs)

@@ -18,12 +18,12 @@ import numpy as np
 
 from .autodiff import Tensor
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, write_text
-from .model import ModelConfig, batch_denoise_loss, init_model
+from .model import ModelConfig, batch_denoise_loss, init_model, param_shapes
 from .selfies import split_selfies
 from .tokenizer import PAD, Vocabulary, corrupt, encode_ids, parse_vocab, vocab_text
 
 _TAGS = {"init": 0, "shuffle": 1, "mask": 2, "dropout": 4}
-_NOT_MODEL = ("adam.m.", "adam.v.", "meta.")  # checkpoint tensor prefixes that are not parameters
+_ADAM = ("adam.m.", "adam.v.")  # prefixes of the optimizer moments of each parameter
 
 
 class TrainingDivergedError(RuntimeError):
@@ -187,7 +187,7 @@ def train(
     start_step = 0
     if resume_from is not None:
         tensors = resume_tensors(resume_from, config, vocab, settings)
-        params = _model_params(tensors, dtype)
+        params = _model_params(tensors, config, dtype)
         optimizer = Adam(params, settings)
         for name in params:
             optimizer.m[name] = tensors[f"adam.m.{name}"].astype(dtype)
@@ -262,6 +262,7 @@ def train(
             )
         loss.backward()
         optimizer.step(params, _learning_rate(step, settings))
+        del loss  # the graph's root: not alive during the next step's forward pass
 
         log.add(StepRecord(step, loss_value, masked_acc, time.perf_counter() - started))
 
@@ -281,9 +282,8 @@ def resume_tensors(path: str | Path, config: ModelConfig, vocab: Vocabulary,
     config_loaded, tensors = load_checkpoint(path)
     if config_loaded != config:
         raise CheckpointError(f"{path}: checkpoint model config differs from the requested one")
-    state = [f"adam.{mv}.{name}" for name in tensors if not name.startswith(_NOT_MODEL)
-             for mv in "mv"] + ["meta.step", "meta.vocab", "meta.settings"]
-    missing = next((k for k in state if k not in tensors), None)
+    _check_tensors(path, config, tensors, ("", *_ADAM), ", which a resume needs")
+    missing = next((k for k in ("meta.step", "meta.vocab", "meta.settings") if k not in tensors), None)
     if missing is not None:
         raise CheckpointError(f"{path}: missing tensor {missing}, which a resume needs")
     if tensors["meta.vocab"].tobytes() != vocab_text(vocab).encode():
@@ -310,22 +310,39 @@ def load_model(path: str | Path) -> tuple[ModelConfig, dict[str, Tensor], Vocabu
         raise CheckpointError(f"{path}: unreadable meta.vocab ({exc})") from exc
     if len(vocab) != config.vocab_size:
         raise CheckpointError(f"{path}: vocabulary has {len(vocab)} tokens, the model {config.vocab_size}")
-    return config, _model_params(tensors, np.float32), vocab, tensors.get("meta.length_hist")
+    _check_tensors(path, config, tensors)
+    return config, _model_params(tensors, config, np.float32), vocab, tensors.get("meta.length_hist")
 
 
 def load_params(path: str | Path, dtype=np.float32) -> tuple[ModelConfig, dict[str, Tensor]]:
     """Model parameters (without optimizer state) from a checkpoint file."""
     config, tensors = load_checkpoint(path)
-    return config, _model_params(tensors, dtype)
+    _check_tensors(path, config, tensors)
+    return config, _model_params(tensors, config, dtype)
 
 
-def _model_params(tensors: dict[str, np.ndarray], dtype) -> dict[str, Tensor]:
-    """The model tensors of a checkpoint, without optimizer state or meta.*."""
-    return {
-        k: Tensor(v.astype(dtype), requires_grad=True)
-        for k, v in tensors.items()
-        if not k.startswith(_NOT_MODEL)
-    }
+def _check_tensors(path: str | Path, config: ModelConfig, tensors: dict[str, np.ndarray],
+                   prefixes: tuple[str, ...] = ("",), why: str = "") -> None:
+    """Each of `param_shapes(config)`, under each prefix, must be a float tensor of its
+    shape, and no tensor outside meta.* may be anything else: the checkpoint holds
+    exactly this model, checked before any of its data is used."""
+    shapes = param_shapes(config)
+    for name, shape in ((prefix + name, shape) for prefix in prefixes for name, shape in shapes.items()):
+        if name not in tensors:
+            raise CheckpointError(f"{path}: missing tensor {name}{why}")
+        arr = tensors[name]
+        if arr.dtype.kind != "f" or arr.shape != shape:
+            raise CheckpointError(f"{path}: tensor {name} is {arr.dtype} {arr.shape}, the config needs "
+                                  f"float {shape}")
+    known = {prefix + name for prefix in ("", *_ADAM) for name in shapes}
+    extra = next((k for k in tensors if k not in known and not k.startswith("meta.")), None)
+    if extra is not None:
+        raise CheckpointError(f"{path}: tensor {extra} is not a parameter of the config")
+
+
+def _model_params(tensors: dict[str, np.ndarray], config: ModelConfig, dtype) -> dict[str, Tensor]:
+    """The parameters of a checked checkpoint, in `param_shapes` order."""
+    return {k: Tensor(tensors[k].astype(dtype), requires_grad=True) for k in param_shapes(config)}
 
 
 def load_meta(path: str | Path) -> dict[str, np.ndarray]:

@@ -1,5 +1,7 @@
 """Per-op gradient checks against central finite differences (float64)."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -194,3 +196,30 @@ def test_gradient_accumulates_across_uses():
     out = ad.add(ad.mul(t, t), t)  # f = t^2 + t, f' = 2t + 1 = 5
     out.backward()
     assert abs(t.grad[0, 0] - 5.0) < 1e-12
+
+
+def test_backward_frees_interior_nodes_and_leaves_keep_their_grads():
+    """backward() consumes the graph: each interior node drops its gradient, its
+    parents and its closure (with the arrays it saved); the leaves keep theirs."""
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = Tensor(np.array([3.0, 5.0]), requires_grad=True)
+    h = ad.mul(a, b)
+    out = total(h)
+    closures = [weakref.ref(node._backward) for node in (h, out)]
+    out.backward()
+    for node in (h, out):
+        assert node.grad is None and node._parents == ()
+    assert all(ref() is None for ref in closures)
+    assert np.array_equal(a.grad, b.data) and np.array_equal(b.grad, a.data)
+
+
+def test_second_backward_through_a_consumed_graph_raises():
+    t = Tensor(np.array([[2.0]]), requires_grad=True)
+    h = ad.mul(t, t)
+    out = ad.add(h, t)
+    out.backward()
+    with pytest.raises(RuntimeError, match="consumed"):
+        out.backward()
+    with pytest.raises(RuntimeError, match="consumed"):
+        total(h).backward()  # a new root over a consumed node
+    assert t.grad[0, 0] == 5.0  # the failed calls moved no gradient

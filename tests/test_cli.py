@@ -284,6 +284,28 @@ def _without_adam(run, tmp):
     return str(path)
 
 
+def _edited(run, tmp, name, drop=None, put=None, **fields):
+    """The run's checkpoint without tensor `drop`, with tensors `put` and config `fields` stored."""
+    from dataclasses import replace
+
+    from moldae.checkpoint import load_checkpoint, save_checkpoint
+
+    config, tensors = load_checkpoint(run / "checkpoint_final.bin")
+    tensors.pop(drop, None)
+    tensors.update(put or {})
+    path = tmp / f"{name}.bin"
+    save_checkpoint(path, replace(config, **fields), tensors)
+    return str(path)
+
+
+def _non_utf8_name(run, tmp):
+    """The run's checkpoint with one tensor name's first byte made 0xff."""
+    data = (run / "checkpoint_final.bin").read_bytes()
+    path = tmp / "badname.bin"
+    path.write_bytes(data.replace(b"enc.0.ff.b1", b"\xffnc.0.ff.b1", 1))
+    return str(path)
+
+
 def _write(tmp, name, text):
     (tmp / name).write_text(text)
     return str(tmp / name)
@@ -351,6 +373,26 @@ FAILURES = {
         str(run / "checkpoint_final.bin"), root, _below_file(tmp, "sub/e.csv")), 2, "plain"),
     "generate-v1-checkpoint-without-vocab": (lambda run, root, tmp: _generate(
         str(V1_CHECKPOINT), str(tmp / "gen")), 2, "model.bin: no vocabulary in checkpoint"),
+    "generate-missing-parameter-tensor": (lambda run, root, tmp: _generate(
+        _edited(run, tmp, "no_w1", drop="dec.0.ff.w1"), str(tmp / "gen")), 2,
+        "no_w1.bin: missing tensor dec.0.ff.w1"),
+    "embed-missing-decoder-tensor": (lambda run, root, tmp: _embed(
+        _edited(run, tmp, "no_w1", drop="dec.0.ff.w1"), root, str(tmp / "e.csv")), 2,
+        "no_w1.bin: missing tensor dec.0.ff.w1"),
+    "embed-wrong-shape-bias": (lambda run, root, tmp: _embed(
+        _edited(run, tmp, "short_b1", put={"enc.0.ff.b1": np.zeros(1, np.float32)}), root,
+        str(tmp / "e.csv")), 2, "short_b1.bin: tensor enc.0.ff.b1 is float32 (1,), the config needs float (32,)"),
+    "generate-string-config-field": (lambda run, root, tmp: _generate(
+        _edited(run, tmp, "str_heads", n_heads="2"), str(tmp / "gen")), 2,
+        "str_heads.bin: config field n_heads: '2' is not int"),
+    "generate-indivisible-d-model": (lambda run, root, tmp: _generate(
+        _edited(run, tmp, "d15", d_model=15), str(tmp / "gen")), 2,
+        "d15.bin: config block: d_model 15 not divisible by n_heads 2"),
+    "embed-non-utf8-tensor-name": (lambda run, root, tmp: _embed(
+        _non_utf8_name(run, tmp), root, str(tmp / "e.csv")), 2, "badname.bin: tensor name at byte"),
+    "train-resume-wrong-shape-adam-moment": (lambda run, root, tmp: _resume(
+        root, tmp, _edited(run, tmp, "adam_b1", put={"adam.m.enc.0.ff.b1": np.zeros(1, np.float32)})), 2,
+        "adam_b1.bin: tensor adam.m.enc.0.ff.b1 is float32 (1,)"),
     "generate-vocab-size-mismatch": (lambda run, root, tmp: _generate(
         _short_vocab(run, tmp), str(tmp / "gen")), 2, "vocab30.bin: vocabulary has 30 tokens"),
     "train-only-line-over-length": (lambda run, root, tmp: [

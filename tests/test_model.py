@@ -264,21 +264,24 @@ def test_attention_block_is_five_tape_nodes():
     q/k/v projections, attention and output projection: every projection is
     one `linear` node and every attention one `attention` node. TOY has three
     attention blocks (encoder self, decoder self and cross). A float32 graph
-    stays float32 in every value and gradient.
+    stays float32 in every value and gradient. The tape is walked before
+    backward(), which frees it; the gradients are checked where they end,
+    on the parameters.
     """
     params = toy_params(dtype=np.float32)
     y = np.array([[BOS, 5, 6, 7, EOS]])
     loss, _ = batch_denoise_loss(params, TOY, y.copy(), y, np.ones(y.shape))
-    loss.backward()
     ops, seen, stack = Counter(), set(), [loss]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
-            assert node.data.dtype == node.grad.dtype == np.float32
+            assert node.data.dtype == np.float32
             if node._backward is not None:
                 ops[node._backward.__qualname__.split(".")[0]] += 1
             stack.extend(node._parents)
+    loss.backward()
+    assert all(p.grad.dtype == np.float32 for p in params.values())
     # linear: 3 blocks x (q, k, v, output) + 2 feed-forward layers x 2 + the tied output projection.
     assert ops == {"attention": 3, "linear": 17, "layer_norm": 7, "gelu": 2, "add": 7,
                    "gather_rows": 4, "transpose": 1, "cross_entropy": 1}
@@ -333,6 +336,21 @@ def test_sample_deterministic_and_temperature_limit():
     cold = sample_one(params, np.random.default_rng(3), temperature=1e-9)
     ids = np.array([BOS, EOS])
     assert np.array_equal(cold, np.array(greedy(params, encode(params, TOY, ids), np.ones(2))))
+
+
+@pytest.mark.parametrize("temperature", [1e-300, 5e-324])
+def test_tiny_temperature_is_greedy_decoding(temperature):
+    """At a tiny T every logit below the row's maximum scales to -inf, so each
+    draw is the argmax. At 5e-324, the least positive float, a logit divided by
+    T overflows, so the maximum must come off before the division (inf - inf
+    is nan)."""
+    params = toy_params(9)
+    for source_length in (None, 3):
+        source = np.array([BOS] + [MASK] * (source_length or 0) + [EOS])
+        expected = greedy(params, encode(params, TOY, source), np.ones(len(source)))
+        samples = sample_batch(params, TOY, [np.random.default_rng(s) for s in range(4)],
+                               temperature=temperature, source_lengths=[source_length] * 4)
+        assert [s.tolist() for s in samples] == [expected] * 4
 
 
 class FixedUniform:

@@ -241,3 +241,27 @@ def test_tagged_rng_streams_are_stable():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def test_a_step_frees_the_previous_steps_graph(tmp_path):
+    """With equal batches, two steps peak no higher than one: step 1's graph is
+    gone before step 2's forward pass (tracemalloc sees numpy's buffers)."""
+    import tracemalloc
+
+    tokens = ["[C]", "[N]", "[O]", "[=C]", "[F]", "[Branch1]", "[Ring1]"]
+    rng = np.random.default_rng(0)
+    lines = ["".join(rng.choice(tokens, size=20)) for _ in range(16)]
+    path = tmp_path / "equal.selfies"
+    path.write_text("\n".join(lines) + "\n")
+    vocab = build_vocab([split_selfies(line) for line in lines])
+    config = ModelConfig(vocab_size=len(vocab), d_model=32, n_heads=2, encoder_layers=1,
+                         decoder_layers=1, ff_width=64, max_len=24)
+    peaks = []
+    for steps in (1, 2):
+        tracemalloc.start()
+        try:
+            train(path, vocab, config, TrainSettings(steps=steps, batch_size=8, seed=0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], peaks

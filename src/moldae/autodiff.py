@@ -30,6 +30,7 @@ import contextlib
 import numpy as np
 
 _grad_enabled = True
+LAYER_NORM_EPS = 1e-5  # added to the variance in layer_norm
 
 
 @contextlib.contextmanager
@@ -283,11 +284,11 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     return _make(out_data, (table,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine by (d,) gain and bias."""
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     out_data = xhat * xhat
-    inv = 1.0 / np.sqrt(out_data.mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(out_data.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xhat *= inv
     np.multiply(xhat, gain.data, out=out_data)
     out_data += bias.data

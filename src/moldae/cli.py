@@ -215,10 +215,12 @@ def cmd_convert(args) -> int:
 
 def cmd_make_corpus(args) -> int:
     from .checkpoint import write_text
-    from .corpus import sample_corpus
+    from .corpus import MIN_TOKENS, sample_corpus
 
     if args.n < 1:
         raise ConfigError(f"make-corpus --n must be >= 1, got {args.n}")
+    if args.max_tokens < MIN_TOKENS:
+        raise ConfigError(f"make-corpus --max-tokens must be >= {MIN_TOKENS}, got {args.max_tokens}")
     molecules = sample_corpus(args.n, args.seed, args.min_atoms, args.max_tokens)
     path = Path(args.output)
     path.parent.mkdir(parents=True, exist_ok=True)

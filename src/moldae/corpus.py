@@ -21,6 +21,8 @@ _ELEMENT_WEIGHT = {
 _ORDER_WEIGHT = {1: 1.0, 2: 0.25, 3: 0.04}
 _STRUCT_WEIGHT = {("branch", 1): 3.0, ("branch", 2): 0.15, ("branch", 3): 0.02,
                   ("ring", 1): 2.5, ("ring", 2): 0.15, ("ring", 3): 0.02}
+MAX_STALE = 50_000  # draws in a row without a new molecule before sample_corpus gives up
+MIN_TOKENS = 4  # the shortest token string a draw decodes
 
 
 def _token_weights() -> np.ndarray:
@@ -35,12 +37,11 @@ def _token_weights() -> np.ndarray:
     return w / w.sum()
 
 
-def sample_corpus(n: int, seed: int = 0, min_atoms: int = 3, max_tokens: int = 40,
-                  max_stale: int = 50_000) -> list[str]:
+def sample_corpus(n: int, seed: int = 0, min_atoms: int = 3, max_tokens: int = 40) -> list[str]:
     """n distinct random molecules as canonical SMILES, deterministic per seed.
 
-    Raises if the requested count cannot be reached (the distinct-molecule
-    space under tight min_atoms/max_tokens limits is finite).
+    Raises once more than MAX_STALE draws in a row add no new molecule (the
+    distinct-molecule space under tight min_atoms/max_tokens limits is finite).
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 97)))
     probs = _token_weights()
@@ -48,12 +49,12 @@ def sample_corpus(n: int, seed: int = 0, min_atoms: int = 3, max_tokens: int = 4
     out: list[str] = []
     stale = 0
     while len(out) < n:
-        if stale > max_stale:
+        if stale > MAX_STALE:
             raise ValueError(
                 f"no new distinct molecule in {stale} draws (have {len(out)} of {n}); "
                 "loosen min_atoms/max_tokens"
             )
-        length = int(rng.integers(4, max_tokens + 1))
+        length = int(rng.integers(MIN_TOKENS, max_tokens + 1))
         idx = rng.choice(len(ALPHABET), size=length, p=probs)
         graph = decode([ALPHABET[int(i)] for i in idx])
         if len(graph) < min_atoms:

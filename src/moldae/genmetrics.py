@@ -110,11 +110,13 @@ def draw_source_length(length_hist: np.ndarray, rng: np.random.Generator) -> int
     return int(_draw((hist / total)[None], [rng])[0])
 
 
+GENERATE_BATCH = 128  # samples per sample_batch call
+
+
 def generate_set(params, config: ModelConfig, vocab: Vocabulary, n: int, seed: int,
                  temperature: float = 1.0, max_len: int | None = None,
-                 checkpoint_id: str = "", batch_size: int = 128,
-                 length_hist: np.ndarray | None = None) -> GeneratedSet:
-    """Draw n molecules via the model sampler and decode each one.
+                 checkpoint_id: str = "", length_hist: np.ndarray | None = None) -> GeneratedSet:
+    """Draw n molecules via the model sampler, GENERATE_BATCH at a time, and decode each one.
 
     Every sample gets its own child seed, so results are independent of the
     batch partitioning. When a training length histogram is given, each
@@ -128,8 +130,8 @@ def generate_set(params, config: ModelConfig, vocab: Vocabulary, n: int, seed: i
     raw: list[str] = []
     canon: list[str | None] = []
     tokens = truncated = 0
-    for lo in range(0, n, batch_size):
-        rngs = [np.random.default_rng(s) for s in children[lo : lo + batch_size]]
+    for lo in range(0, n, GENERATE_BATCH):
+        rngs = [np.random.default_rng(s) for s in children[lo : lo + GENERATE_BATCH]]
         if length_hist is not None:
             lengths = [draw_source_length(length_hist, rng) for rng in rngs]
         else:
@@ -172,25 +174,24 @@ def novelty(generated: GeneratedSet, training_canon: set[str]) -> float:
     return len(distinct - training_canon) / len(distinct)
 
 
-def _diversities(generated: GeneratedSet, powers: tuple[int, ...], radius: int, width: int
-                 ) -> list[float]:
-    """Internal diversity for each p in `powers`, from one fingerprint and similarity pass."""
+def _diversities(generated: GeneratedSet, radius: int, width: int) -> tuple[float, float]:
+    """Internal diversity intdiv1 and intdiv2, from one fingerprint and similarity pass."""
     distinct = sorted(set(generated.valid()))
     if not distinct:
         raise MetricsError("no valid molecules")
     # Intersections count at most width (<= 2**24) ones, so float32 sums them exactly.
     fps = fingerprints((parse_smiles(s) for s in distinct), radius, width).astype(np.float32)
     pop = fps.sum(axis=1, dtype=np.float64)
-    totals = [0.0] * len(powers)
+    sum1 = sum2 = 0.0
     block = 256
     for lo in range(0, len(distinct), block):
         chunk = fps[lo : lo + block]
         inter = (chunk @ fps.T).astype(np.float64)
         union = pop[lo : lo + block, None] + pop[None, :] - inter
         sim = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 1.0)
-        for j, p in enumerate(powers):
-            totals[j] += float((sim**p).sum())
-    return [1.0 - (total / len(distinct) ** 2) ** (1.0 / p) for total, p in zip(totals, powers)]
+        sum1 += float(sim.sum())
+        sum2 += float((sim**2).sum())
+    return 1.0 - sum1 / len(distinct) ** 2, 1.0 - (sum2 / len(distinct) ** 2) ** 0.5
 
 
 def load_training_canon(path: str | Path) -> set[str]:
@@ -217,7 +218,7 @@ def build_report(generated: GeneratedSet, training_canon: set[str], k: int | Non
         unique_at(generated, k),
         k,
         novelty(generated, training_canon),
-        *_diversities(generated, (1, 2), radius, width),  # intdiv1, intdiv2
+        *_diversities(generated, radius, width),
         counts={
             "n": len(generated),
             "valid": len(valid),

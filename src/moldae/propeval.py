@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from .tokenizer import Vocabulary, encode_ids
 from .graph import GraphError, MolecularGraph
 
 LAMBDA_GRID = (1e-3, 1e-2, 0.1, 1.0, 10.0)
+SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train, valid, test
 NEWTON_STEPS = 50  # cap; ridge needs 1, logistic regression about 10
 
 
@@ -123,26 +124,19 @@ def load_dataset(path: str | Path, manifest: TaskManifest) -> PropertyDataset:
 @dataclass(frozen=True)
 class SplitAssignment:
     folds: tuple[str, ...]  # per-record "train" | "valid" | "test"
-    seed: int
-    ratios: tuple[float, float, float]
 
     def indices(self, fold: str) -> np.ndarray:
         return np.asarray([i for i, f in enumerate(self.folds) if f == fold])
 
 
-def split(dataset: PropertyDataset, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitAssignment:
-    """Seeded shuffle, then contiguous train/valid/test assignment."""
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise DatasetError("need three positive ratios")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise DatasetError(f"ratios must sum to 1, got {sum(ratios)}")
+def split(dataset: PropertyDataset, seed: int = 0) -> SplitAssignment:
+    """Seeded shuffle, then contiguous train/valid/test assignment in SPLIT_RATIOS."""
     n = len(dataset)
     order = np.random.default_rng(seed).permutation(n)
-    n_train = int(round(ratios[0] * n))
-    n_valid = int(round(ratios[1] * n))
+    n_train = int(round(SPLIT_RATIOS[0] * n))
+    n_valid = int(round(SPLIT_RATIOS[1] * n))
     if n_train == 0 or n_valid == 0 or n_train + n_valid >= n:
-        raise DatasetError(f"a fold would be empty for n={n} and ratios {ratios}")
+        raise DatasetError(f"a fold would be empty for n={n} and ratios {SPLIT_RATIOS}")
     folds = [""] * n
     for pos, idx in enumerate(order):
         if pos < n_train:
@@ -151,7 +145,7 @@ def split(dataset: PropertyDataset, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> Sp
             folds[idx] = "valid"
         else:
             folds[idx] = "test"
-    return SplitAssignment(tuple(folds), seed, ratios)
+    return SplitAssignment(tuple(folds))
 
 
 # What one bad molecule raises; the run goes on. RecursionError stays a reject
@@ -366,40 +360,25 @@ class PropertyResult:
     probe_grad_norm: float  # and its final gradient norm
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dataset": self.dataset,
-                "task": self.task,
-                "metric_name": self.metric_name,
-                "metric": self.metric,
-                "lambda": self.lam,
-                "split_seed": self.split_seed,
-                "checkpoint_id": self.checkpoint_id,
-                "dropped_rows": self.dropped_rows,
-                "probe_steps": self.probe_steps,
-                "probe_grad_norm": self.probe_grad_norm,
-            },
-            sort_keys=True,
-            indent=2,
-            allow_nan=False,
-        ) + "\n"
+        payload = asdict(self)
+        payload["lambda"] = payload.pop("lam")
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def evaluate_dataset(dataset: PropertyDataset, params, config: ModelConfig, vocab: Vocabulary,
-                     seed: int = 0, ratios=(0.8, 0.1, 0.1), checkpoint_id: str = "",
-                     lambda_grid=LAMBDA_GRID) -> PropertyResult:
-    """Featurize, split, fit the probe per lambda, select on valid, score test."""
+                     seed: int = 0, checkpoint_id: str = "") -> PropertyResult:
+    """Featurize, split (SPLIT_RATIOS), fit the probe per LAMBDA_GRID entry, select on valid, score test."""
     features, kept, dropped = featurize(dataset, params, config, vocab)
     labels = dataset.labels[kept]
     smls = [dataset.smiles[i] for i in kept]
     reduced = PropertyDataset(dataset.name, dataset.task, tuple(smls), labels, dataset.dropped_invalid)
-    assignment = split(reduced, ratios, seed)
+    assignment = split(reduced, seed)
     tr, va, te = (assignment.indices(f) for f in ("train", "valid", "test"))
 
     metric = mean_roc_auc if dataset.task == "classification" else mean_rmse
 
     best: tuple[float, float, Probe] | None = None
-    for lam in lambda_grid:
+    for lam in LAMBDA_GRID:
         probe = train_probe(features[tr], labels[tr], dataset.task, lam)
         value = metric(probe.scores(features[va]), labels[va])
         # Higher is better for AUC, lower for RMSE.

@@ -300,7 +300,11 @@ def resume_tensors(path: str | Path, config: ModelConfig, vocab: Vocabulary,
 
 
 def load_model(path: str | Path) -> tuple[ModelConfig, dict[str, Tensor], Vocabulary, np.ndarray | None]:
-    """Config, float32 parameters, vocabulary and length histogram of a checkpoint, read once."""
+    """Config, float32 parameters, vocabulary and length histogram of a checkpoint, read once.
+
+    The histogram, when present, must be a finite, non-negative float (max_len - 1,) vector
+    with mass beyond length 0: generate draws every source length from it.
+    """
     config, tensors = load_checkpoint(path)
     if "meta.vocab" not in tensors:
         raise CheckpointError(f"{path}: no vocabulary in checkpoint (format 1, or not written by train)")
@@ -311,14 +315,20 @@ def load_model(path: str | Path) -> tuple[ModelConfig, dict[str, Tensor], Vocabu
     if len(vocab) != config.vocab_size:
         raise CheckpointError(f"{path}: vocabulary has {len(vocab)} tokens, the model {config.vocab_size}")
     _check_tensors(path, config, tensors)
-    return config, _model_params(tensors, config, np.float32), vocab, tensors.get("meta.length_hist")
+    hist = tensors.get("meta.length_hist")
+    if hist is not None and not (hist.dtype.kind == "f" and hist.shape == (config.max_len - 1,)
+                                 and np.isfinite(hist).all() and (hist >= 0).all() and hist[1:].any()):
+        raise CheckpointError(f"{path}: tensor meta.length_hist is {hist.dtype} {hist.shape}, the config "
+                              f"needs a finite, non-negative float ({config.max_len - 1},) histogram "
+                              "with mass beyond length 0")
+    return config, _model_params(tensors, config, np.float32), vocab, hist
 
 
-def load_params(path: str | Path, dtype=np.float32) -> tuple[ModelConfig, dict[str, Tensor]]:
-    """Model parameters (without optimizer state) from a checkpoint file."""
+def load_params(path: str | Path) -> tuple[ModelConfig, dict[str, Tensor]]:
+    """Config and float32 model parameters (without optimizer state) from a checkpoint file."""
     config, tensors = load_checkpoint(path)
     _check_tensors(path, config, tensors)
-    return config, _model_params(tensors, config, dtype)
+    return config, _model_params(tensors, config, np.float32)
 
 
 def _check_tensors(path: str | Path, config: ModelConfig, tensors: dict[str, np.ndarray],

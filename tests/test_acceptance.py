@@ -294,7 +294,7 @@ def test_criterion_9_embedding_sanity(toy_run):
 
     def probe_rmse(f, seed):
         ds = PropertyDataset("dou", "regression", tuple(probe_smiles), label.reshape(-1, 1))
-        assignment = split(ds, (0.8, 0.1, 0.1), seed)
+        assignment = split(ds, seed=seed)
         tr, va, te = (assignment.indices(x) for x in ("train", "valid", "test"))
         best = None
         for lam in LAMBDA_GRID:

@@ -3,7 +3,9 @@
 Every public top-level function and class of `src/moldae` needs a reference
 from the program: `src/moldae` itself or the benchmark scripts in `bench/`
 (not `bench/moldae_frozen`, a frozen copy of an older package). A name that
-only tests reach belongs in the test tree, as a helper or an oracle.
+only tests reach belongs in the test tree, as a helper or an oracle. Likewise
+every defaulted parameter of a public top-level function needs a call in the
+program that passes it: an option only tests set is a constant.
 
 A reference is a bare name in the defining module, a `from .mod import name`
 (or `from moldae.mod import name`), or `alias.name` where `alias` is bound to
@@ -75,11 +77,17 @@ def _references(tree: ast.Module, module: str | None, defined: set[tuple[str, st
                 yield target, owner
 
 
-def unused_public_definitions() -> list[str]:
+def _program() -> tuple[dict[str, ast.Module], list[tuple[None, ast.Module]]]:
+    """The package's modules by name, and the bench scripts (module None)."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    bench = [(None, ast.parse(path.read_text(encoding="utf-8"))) for path in (ROOT / "bench").glob("*.py")]
+    return trees, bench
+
+
+def unused_public_definitions() -> list[str]:
+    trees, bench = _program()
     defined = {(module, node.name) for module, tree in trees.items() for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
-    bench = [(None, ast.parse(path.read_text(encoding="utf-8"))) for path in (ROOT / "bench").glob("*.py")]
     owners: dict[tuple[str, str], set] = {}
     for module, tree in [*trees.items(), *bench]:
         for target, owner in _references(tree, module, defined):
@@ -98,3 +106,76 @@ def unused_public_definitions() -> list[str]:
 def test_every_public_definition_has_a_caller_in_the_program():
     unused = unused_public_definitions()
     assert not unused, f"public definitions with no caller outside the tests: {', '.join(unused)}"
+
+
+# Defaulted parameters no program call passes, each kept for a reason.
+UNSET_OPTIONS_KEPT = {
+    # The in-process seam the CLI tests drive; the console script and __main__ pass nothing.
+    "cli.main.argv",
+    # bench/tracer.py binds `tol` by name to count probe.unconverged; bench/ changes only
+    # with the benchmark, and tests/test_bench_smoke.py runs every workload traced.
+    "propeval.train_probe.tol",
+}
+
+
+def _imported_names(tree: ast.Module, in_package: bool) -> dict[str, tuple[str, str]]:
+    """Local name -> (moldae submodule, name), for every `from <submodule> import name` in the file."""
+    imported: dict[str, tuple[str, str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (source := _imported_from(node, in_package)) is not None:
+            for alias in node.names:
+                imported[alias.asname or alias.name] = (source, alias.name)
+    return imported
+
+
+def _callee(func: ast.expr, module: str | None, aliases: dict[str, str],
+            imported: dict[str, tuple[str, str]]) -> tuple[str, str] | None:
+    """The (module, name) a call's function expression resolves to, if it names one."""
+    if isinstance(func, ast.Name):
+        return imported.get(func.id, (module, func.id) if module is not None else None)
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in aliases:
+        return aliases[func.value.id], func.attr
+    return None
+
+
+def unset_keyword_options() -> list[str]:
+    """`module.function.parameter` for each defaulted parameter of a public top-level
+    function that no call in the program passes, by position or by keyword. A call
+    with *args or **kwargs passes every parameter."""
+    trees, bench = _program()
+    options: dict[tuple[str, str], tuple[list[str], set[str]]] = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                a = node.args
+                positional = [arg.arg for arg in (*a.posonlyargs, *a.args)]
+                defaulted = set(positional[len(positional) - len(a.defaults):])
+                defaulted |= {arg.arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None}
+                if defaulted:
+                    options[(module, node.name)] = (positional, defaulted)
+    passed: dict[tuple[str, str], set[str]] = {target: set() for target in options}
+    for module, tree in [*trees.items(), *bench]:
+        in_package = module is not None
+        aliases = _module_aliases(tree, in_package)
+        imported = _imported_names(tree, in_package)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            target = _callee(node.func, module, aliases, imported)
+            if target not in options:
+                continue
+            positional, defaulted = options[target]
+            if any(isinstance(arg, ast.Starred) for arg in node.args) or any(k.arg is None for k in node.keywords):
+                passed[target] |= defaulted
+            else:
+                passed[target] |= {*positional[:len(node.args)], *(k.arg for k in node.keywords)}
+    return sorted(f"{module}.{name}.{param}" for (module, name), (_, defaulted) in options.items()
+                  for param in defaulted - passed[(module, name)])
+
+
+def test_every_keyword_option_is_set_by_the_program():
+    unset = unset_keyword_options()
+    extra = [option for option in unset if option not in UNSET_OPTIONS_KEPT]
+    assert not extra, f"defaulted parameters no program call passes (make them constants): {', '.join(extra)}"
+    stale = sorted(UNSET_OPTIONS_KEPT - set(unset))
+    assert not stale, f"options the program now sets, to drop from UNSET_OPTIONS_KEPT: {', '.join(stale)}"

@@ -429,6 +429,20 @@ FAILURES = {
                            "make-corpus --n must be >= 1, got 0"),
     "make-corpus-negative-n": (lambda run, root, tmp: _make_corpus(tmp, "-3"), 3,
                                "make-corpus --n must be >= 1, got -3"),
+    "make-corpus-max-tokens-below-4": (lambda run, root, tmp: _make_corpus(tmp, "5") + ["--max-tokens", "3"],
+                                       3, "make-corpus --max-tokens must be >= 4, got 3"),
+    "generate-length-hist-too-long": (lambda run, root, tmp: _generate(_edited(
+        run, tmp, "hist40", put={"meta.length_hist": np.eye(40, dtype=np.float32)[39]}), str(tmp / "gen")), 2,
+        "hist40.bin: tensor meta.length_hist is float32 (40,)"),
+    "generate-length-hist-all-zero": (lambda run, root, tmp: _generate(_edited(
+        run, tmp, "hist0", put={"meta.length_hist": np.zeros(31, np.float32)}), str(tmp / "gen")), 2,
+        "hist0.bin: tensor meta.length_hist"),
+    "generate-length-hist-nan": (lambda run, root, tmp: _generate(_edited(
+        run, tmp, "histnan", put={"meta.length_hist": np.where(np.arange(31) == 5, np.nan, 1).astype(np.float32)}),
+        str(tmp / "gen")), 2, "histnan.bin: tensor meta.length_hist"),
+    "generate-length-hist-negative": (lambda run, root, tmp: _generate(_edited(
+        run, tmp, "histneg", put={"meta.length_hist": np.where(np.arange(31) == 3, -1, 1).astype(np.float32)}),
+        str(tmp / "gen")), 2, "histneg.bin: tensor meta.length_hist"),
     "train-resume-without-adam-state": (lambda run, root, tmp: _resume(
         root, tmp, _without_adam(run, tmp)), 2, "no_adam.bin: missing tensor adam.m."),
     "train-resume-bad-magic": (lambda run, root, tmp: _resume(
@@ -480,7 +494,7 @@ def test_failed_generate_leaves_no_out_dir(bad, trained, tmp_path, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("case", ["make-corpus-zero-n", "make-corpus-negative-n"])
+@pytest.mark.parametrize("case", ["make-corpus-zero-n", "make-corpus-negative-n", "make-corpus-max-tokens-below-4"])
 def test_failed_make_corpus_writes_nothing(case, tmp_path):
     build, code, _ = FAILURES[case]
     assert main(build(None, None, tmp_path)) == code == 3

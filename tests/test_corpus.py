@@ -22,9 +22,12 @@ def test_molecules_are_canonical_and_sized():
         assert canonicalize(graph) == smiles
 
 
-def test_exhaustion_guard_raises():
+def test_exhaustion_guard_raises(monkeypatch):
+    from moldae import corpus
+
+    monkeypatch.setattr(corpus, "MAX_STALE", 300)
     with pytest.raises(ValueError):
-        sample_corpus(10**6, seed=0, min_atoms=4, max_tokens=4, max_stale=300)
+        sample_corpus(10**6, seed=0, min_atoms=4, max_tokens=4)
 
 
 def test_carbon_dominates():

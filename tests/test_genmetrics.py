@@ -194,14 +194,19 @@ def test_generate_set_counts_truncated_empty_and_tokens():
     assert got.empty == sum(not decode_ids(r, vocab) for r in rows)
 
 
-def test_generate_set_deterministic_and_batch_invariant():
+def test_generate_set_deterministic_and_batch_invariant(monkeypatch):
+    import moldae.genmetrics as genmetrics
+
     params, config, vocab = toy_generator()
-    a = generate_set(params, config, vocab, 7, seed=5, batch_size=3)
-    b = generate_set(params, config, vocab, 7, seed=5, batch_size=7)
-    c = generate_set(params, config, vocab, 7, seed=5, batch_size=1)
+
+    def generate(seed, batch):
+        monkeypatch.setattr(genmetrics, "GENERATE_BATCH", batch)
+        return generate_set(params, config, vocab, 7, seed=seed)
+
+    a, b, c = generate(5, 3), generate(5, 7), generate(5, 1)
     assert a.raw == b.raw == c.raw
     assert a.canonical == b.canonical
-    d = generate_set(params, config, vocab, 7, seed=6, batch_size=3)
+    d = generate(6, 3)
     assert d.raw != a.raw
     # totality: a missing canonical form can only mean the tokens derived nothing
     from moldae import selfies as sf

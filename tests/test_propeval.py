@@ -110,15 +110,13 @@ def test_mean_rmse_per_column_over_present_labels():
 def test_split_sizes_and_determinism():
     ds = PropertyDataset("t", "regression", tuple("X" * 1 for _ in range(10)),
                          np.zeros((10, 1)))
-    a = split(ds, (0.8, 0.1, 0.1), seed=4)
+    a = split(ds, seed=4)
     assert sorted(a.folds).count("train") == 8
     assert sorted(a.folds).count("valid") == 1
     assert sorted(a.folds).count("test") == 1
-    assert split(ds, (0.8, 0.1, 0.1), seed=4).folds == a.folds
+    assert split(ds, seed=4).folds == a.folds
     with pytest.raises(DatasetError):
-        split(ds, (0.5, 0.4, 0.2), seed=0)
-    with pytest.raises(DatasetError):
-        split(PropertyDataset("t", "regression", ("C",) * 4, np.zeros((4, 1))), (0.9, 0.05, 0.05), 0)
+        split(PropertyDataset("t", "regression", ("C",) * 4, np.zeros((4, 1))), seed=0)
 
 
 def test_split_differs_across_seeds():

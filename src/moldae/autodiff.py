@@ -139,15 +139,7 @@ def _make(data, parents, backward) -> Tensor:
     return Tensor(data, requires, tuple(p for p in parents if p.requires_grad), backward)
 
 
-def add(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):  # constant offset
-        out_data = a.data + np.asarray(b, dtype=a.data.dtype)
-
-        def backward(g):
-            ga = _unbroadcast(g, a.data.shape)
-            a.accumulate(ga, owned=ga is not g)
-
-        return _make(out_data, (a,), backward)
+def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g):
@@ -160,24 +152,14 @@ def add(a: Tensor, b) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):  # constant scale (dropout mask)
-        b = np.asarray(b, dtype=a.data.dtype)
-        out_data = a.data * b
-
-        def backward(g):
-            a.accumulate(_unbroadcast(g * b, a.data.shape), owned=True)
-
-        return _make(out_data, (a,), backward)
-    out_data = a.data * b.data
+def mul(a: Tensor, b: np.ndarray) -> Tensor:
+    """a * b for a constant array b (dropout's mask) that broadcasts to a's shape."""
+    b = np.asarray(b, dtype=a.data.dtype)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g * b.data, a.data.shape), owned=True)
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g * a.data, b.data.shape), owned=True)
+        a.accumulate(g * b, owned=True)
 
-    return _make(out_data, (a, b), backward)
+    return _make(a.data * b, (a,), backward)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -219,13 +201,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _make(out_data, parents, backward)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None, n_heads: int) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, n_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention of queries q over keys k / values v.
 
     q: (B, Lq, d) and k, v: (B, Lk, d), already projected. Splits d into
     `n_heads` heads of d // n_heads, takes softmax(q k^T / sqrt(dh) + bias) v
     per head and merges the heads back into (B, Lq, d). `bias` is an additive
-    mask broadcast to the scores (B, n_heads, Lq, Lk), or None. Backward keeps
+    mask broadcast to the scores (B, n_heads, Lq, Lk). Backward keeps
     the probabilities from the forward pass.
     """
     batch, _, d = q.shape
@@ -244,8 +226,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None, n_heads:
     scale = float(1.0 / np.sqrt(dh))
     p = qh @ kh.swapaxes(-1, -2)
     p *= scale
-    if bias is not None:
-        p += bias.astype(p.dtype, copy=False)
+    p += bias.astype(p.dtype, copy=False)
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)

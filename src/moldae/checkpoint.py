@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
 import typing
@@ -108,8 +109,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
             raise CheckpointError(f"{path}: tensor {name} has unknown dtype code {code}")
         dtype = DTYPES[code]
         (rank,) = take("<B")
-        shape = take(f"<{rank}I") if rank else ()
-        n = int(np.prod(shape)) if rank else 1
+        shape = take(f"<{rank}I")
+        n = math.prod(shape)  # a Python int: np.prod would wrap past 2**63
         if off + dtype.itemsize * n > len(data):
             raise CheckpointError(f"{path}: truncated checkpoint")
         tensors[name] = np.frombuffer(data, dtype=dtype, count=n, offset=off).reshape(shape).copy()

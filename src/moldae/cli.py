@@ -7,16 +7,18 @@ Exit codes come from one ordered table in main(); the first row whose
 exception classes match wins, and main prints `error: <message>` to stderr:
 
   3  configuration: ConfigError (bad or unknown config key or value,
-     unreadable eval-prop manifest or dataset, make-corpus --n below 1),
-     ModelConfigError, TrainSettingsError; also a usage error (missing or
-     invalid flag), for which argparse prints the usage line
+     unreadable eval-prop manifest or dataset, make-corpus --n below 1 or
+     --max-tokens below 4, a negative --seed), ModelConfigError,
+     TrainSettingsError (a setting out of range, e.g. eps not finite and > 0
+     or seed < 0); also a usage error (missing or invalid flag), for which
+     argparse prints the usage line
   2  I/O and artifacts: OSError (missing or unwritable file or directory),
      CheckpointError (corrupt or truncated checkpoint, a config block or
      a parameter tensor that does not fit ModelConfig, one without a
-     vocabulary or whose vocabulary does not fit the model, --resume from one
-     without optimizer state or of another model config, vocabulary or
-     training settings), VocabularyError (malformed vocabulary, empty
-     training corpus)
+     vocabulary or whose vocabulary does not fit the model, one without a
+     usable meta.length_hist, --resume from one without optimizer state or
+     of another model config, vocabulary or training settings),
+     VocabularyError (malformed vocabulary, empty training corpus)
   1  domain: TrainingDivergedError, RecursionError, ValueError (every other
      moldae error: bad molecule, grammar or metric input, generate
      --max-len below 2 or --temperature not finite and > 0)
@@ -280,9 +282,9 @@ def cmd_generate(args) -> int:
 
     config, params, vocab, length_hist = load_model(args.checkpoint)
     start = time.perf_counter()
-    generated = generate_set(params, config, vocab, args.n, args.seed,
+    generated = generate_set(params, config, vocab, args.n, args.seed, length_hist,
                              temperature=args.temperature, max_len=args.max_len,
-                             checkpoint_id=Path(args.checkpoint).name, length_hist=length_hist)
+                             checkpoint_id=Path(args.checkpoint).name)
     seconds = time.perf_counter() - start
     # Only now: generate_set validates its arguments, and a failed run leaves no directory behind.
     out_dir = Path(args.out_dir)
@@ -305,26 +307,9 @@ def cmd_generate(args) -> int:
 
 def cmd_eval_gen(args) -> int:
     from .checkpoint import write_text
-    from .genmetrics import GeneratedSet, build_report, load_training_canon
-    from . import selfies
-    from .canon import canonicalize
+    from .genmetrics import build_report, load_generated, load_training_canon
 
-    gen_lines = Path(args.generated).read_text(encoding="utf-8").splitlines()
-    training_canon = load_training_canon(args.training_canon)
-    raw: list[str] = []
-    canon: list[str | None] = []
-    for line in gen_lines:
-        text = line.strip()
-        raw.append(text)
-        if not text:
-            canon.append(None)
-            continue
-        try:
-            graph = selfies.decode(selfies.split_selfies(text))
-            canon.append(canonicalize(graph) if len(graph) else None)
-        except selfies.SelfiesError:
-            canon.append(None)
-    report = build_report(GeneratedSet(tuple(raw), tuple(canon)), training_canon,
+    report = build_report(load_generated(args.generated), load_training_canon(args.training_canon),
                           k=args.k, radius=args.radius, width=args.width)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -407,6 +392,8 @@ def main(argv=None) -> int:
         ((TrainingDivergedError, RecursionError, ValueError), EXIT_DOMAIN),
     )
     try:
+        if getattr(args, "seed", 0) < 0:  # make-corpus, generate and eval-prop; numpy seeds are >= 0
+            raise ConfigError(f"{args.command} --seed must be >= 0, got {args.seed}")
         return handlers[args.command](args)
     except Exception as exc:
         for classes, code in exit_codes:

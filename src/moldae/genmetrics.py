@@ -113,15 +113,20 @@ def draw_source_length(length_hist: np.ndarray, rng: np.random.Generator) -> int
 GENERATE_BATCH = 128  # samples per sample_batch call
 
 
+def _canonical(grammar) -> str | None:
+    """Canonical SMILES of the molecule a SELFIES token sequence decodes to; None for the empty one."""
+    graph = selfies.decode(grammar)
+    return canonicalize(graph) if len(graph) else None
+
+
 def generate_set(params, config: ModelConfig, vocab: Vocabulary, n: int, seed: int,
-                 temperature: float = 1.0, max_len: int | None = None,
-                 checkpoint_id: str = "", length_hist: np.ndarray | None = None) -> GeneratedSet:
+                 length_hist: np.ndarray, temperature: float = 1.0, max_len: int | None = None,
+                 checkpoint_id: str = "") -> GeneratedSet:
     """Draw n molecules via the model sampler, GENERATE_BATCH at a time, and decode each one.
 
     Every sample gets its own child seed, so results are independent of the
-    batch partitioning. When a training length histogram is given, each
-    sample conditions on a fully-masked source of a drawn length; otherwise
-    the source is the bare (<bos>, <eos>) pair. Empty generations are
+    batch partitioning. Each sample conditions on a fully-masked source of a
+    length drawn from the training length histogram. Empty generations are
     recorded with canonical None.
     """
     if n < 1:
@@ -132,20 +137,33 @@ def generate_set(params, config: ModelConfig, vocab: Vocabulary, n: int, seed: i
     tokens = truncated = 0
     for lo in range(0, n, GENERATE_BATCH):
         rngs = [np.random.default_rng(s) for s in children[lo : lo + GENERATE_BATCH]]
-        if length_hist is not None:
-            lengths = [draw_source_length(length_hist, rng) for rng in rngs]
-        else:
-            lengths = None
-        for ids in sample_batch(params, config, rngs, max_len=max_len,
-                                temperature=temperature, source_lengths=lengths):
+        lengths = [draw_source_length(length_hist, rng) for rng in rngs]
+        for ids in sample_batch(params, config, rngs, lengths, max_len=max_len, temperature=temperature):
             tokens += len(ids) - 1
             truncated += int(ids[-1] != EOS)
             grammar = decode_ids(ids, vocab)
             raw.append(selfies.join_tokens(grammar))
-            graph = selfies.decode(grammar)
-            canon.append(canonicalize(graph) if len(graph) else None)
+            canon.append(_canonical(grammar))
     return GeneratedSet(tuple(raw), tuple(canon), seed=seed, checkpoint_id=checkpoint_id,
                         tokens=tokens, truncated=truncated)
+
+
+def load_generated(path: str | Path) -> GeneratedSet:
+    """A SELFIES file (one emission per line), decoded as `generate_set` decodes.
+
+    A line that is not SELFIES (a bad bracket or an unknown token) counts as
+    invalid, like the empty molecule: its canonical form is None.
+    """
+    raw: list[str] = []
+    canon: list[str | None] = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        text = line.strip()
+        raw.append(text)
+        try:
+            canon.append(_canonical(selfies.split_selfies(text)))
+        except selfies.SelfiesError:
+            canon.append(None)
+    return GeneratedSet(tuple(raw), tuple(canon))
 
 
 def validity(generated: GeneratedSet) -> float:

@@ -156,7 +156,7 @@ def _dense(params, prefix: str, x: Tensor, name: str) -> Tensor:
 
 
 def _attention(params, prefix: str, q_in: Tensor, k: Tensor, v: Tensor, config: ModelConfig,
-               bias: np.ndarray | None) -> Tensor:
+               bias: np.ndarray) -> Tensor:
     """Multi-head attention of q_in over projected keys/values (B, Lk, d), fresh or cached.
 
     `bias` is an additive mask broadcast to the scores (B, h, Lq, Lk).
@@ -342,15 +342,13 @@ def embed(params, config: ModelConfig, ids_list) -> np.ndarray:
     return out
 
 
-def _source_ids(source_length: int | None, config: ModelConfig) -> np.ndarray:
+def _source_ids(source_length: int, config: ModelConfig) -> np.ndarray:
     """Encoder input for unconditional sampling.
 
     A denoiser trained with length-preserving masking copies the source
     length, so an informative unconditional source is a fully-masked sequence
-    of the desired length; None falls back to the bare (<bos>, <eos>) pair.
+    of the desired length.
     """
-    if source_length is None:
-        return np.array([BOS, EOS], dtype=np.int64)
     if source_length < 0 or source_length + 2 > config.max_len:
         raise ValueError(f"source_length {source_length} outside 0..{config.max_len - 2}")
     return np.array([BOS] + [MASK] * source_length + [EOS], dtype=np.int64)
@@ -386,16 +384,15 @@ def _draw(p: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
     return idx
 
 
-def sample_batch(params, config: ModelConfig, rngs: list[np.random.Generator],
-                 max_len: int | None = None, temperature: float = 1.0,
-                 source_lengths: list[int | None] | None = None) -> list[np.ndarray]:
+def sample_batch(params, config: ModelConfig, rngs: list[np.random.Generator], source_lengths: list[int],
+                 max_len: int | None = None, temperature: float = 1.0) -> list[np.ndarray]:
     """Unconditional autoregressive samples, seeded by <bos>; one rng per sequence.
 
     Sequence i's encoder sees a fully-masked source of `source_lengths[i]`
-    tokens (or the empty pair when None); generation stops at <eos> or max_len
-    total ids, and temperature scales logits before sampling. Each step draws
-    one uniform per sequence from that sequence's own rng, so a sequence comes
-    out the same in any batch, alone included.
+    tokens; generation stops at <eos> or max_len total ids, and temperature
+    scales logits before sampling. Each step draws one uniform per sequence
+    from that sequence's own rng, so a sequence comes out the same in any
+    batch, alone included.
 
     Rows with equal sources have equal encoder states, so the encoder runs
     once per distinct source (at the batch's padded width), and the decoder's
@@ -409,8 +406,6 @@ def sample_batch(params, config: ModelConfig, rngs: list[np.random.Generator],
     if max_len < 2:
         raise ValueError(f"max_len must be >= 2 (<bos> and one sampled token), got {max_len}")
     n = len(rngs)
-    if source_lengths is None:
-        source_lengths = [None] * n
     sources = [_source_ids(k, config) for k in source_lengths]
     width = max(len(s) for s in sources)
     enc_ids = np.full((n, width), PAD, dtype=np.int64)

@@ -60,9 +60,10 @@ class TrainSettings:
             ("warmup_frac", 0 <= self.warmup_frac <= 1, "in [0, 1]"),
             ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
             ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
-            ("eps", self.eps > 0, "> 0"),
+            ("eps", math.isfinite(self.eps) and self.eps > 0, "finite and > 0"),
             ("mask_rate", 0 <= self.mask_rate <= 1, "in [0, 1]"),
             ("checkpoint_interval", self.checkpoint_interval >= 0, ">= 0"),
+            ("seed", self.seed >= 0, ">= 0"),
             ("dtype", self.dtype in ("float32", "float64"), "float32 or float64"),
         )
         for key, ok, rule in checks:
@@ -83,13 +84,6 @@ class StepRecord:
 class TrainLog:
     steps: list[StepRecord] = field(default_factory=list)
     skipped_too_long: int = 0
-
-    def add(self, record: StepRecord) -> None:
-        if self.steps and record.step <= self.steps[-1].step:
-            raise ValueError("step indices must be strictly increasing")
-        if not np.isfinite(record.loss):
-            raise ValueError("loss must be finite")
-        self.steps.append(record)
 
     def write_csv(self, path: str | Path) -> None:
         lines = ["step,loss,masked_acc,seconds"]
@@ -264,7 +258,7 @@ def train(
         optimizer.step(params, _learning_rate(step, settings))
         del loss  # the graph's root: not alive during the next step's forward pass
 
-        log.add(StepRecord(step, loss_value, masked_acc, time.perf_counter() - started))
+        log.steps.append(StepRecord(step, loss_value, masked_acc, time.perf_counter() - started))
 
         if settings.checkpoint_interval and (step + 1) % settings.checkpoint_interval == 0:
             write_ckpt(f"checkpoint_{step + 1:06d}.bin", step + 1)
@@ -299,11 +293,11 @@ def resume_tensors(path: str | Path, config: ModelConfig, vocab: Vocabulary,
     return tensors
 
 
-def load_model(path: str | Path) -> tuple[ModelConfig, dict[str, Tensor], Vocabulary, np.ndarray | None]:
+def load_model(path: str | Path) -> tuple[ModelConfig, dict[str, Tensor], Vocabulary, np.ndarray]:
     """Config, float32 parameters, vocabulary and length histogram of a checkpoint, read once.
 
-    The histogram, when present, must be a finite, non-negative float (max_len - 1,) vector
-    with mass beyond length 0: generate draws every source length from it.
+    The histogram must be a finite, non-negative float (max_len - 1,) vector with mass
+    beyond length 0: generate draws every source length from it.
     """
     config, tensors = load_checkpoint(path)
     if "meta.vocab" not in tensors:
@@ -316,8 +310,10 @@ def load_model(path: str | Path) -> tuple[ModelConfig, dict[str, Tensor], Vocabu
         raise CheckpointError(f"{path}: vocabulary has {len(vocab)} tokens, the model {config.vocab_size}")
     _check_tensors(path, config, tensors)
     hist = tensors.get("meta.length_hist")
-    if hist is not None and not (hist.dtype.kind == "f" and hist.shape == (config.max_len - 1,)
-                                 and np.isfinite(hist).all() and (hist >= 0).all() and hist[1:].any()):
+    if hist is None:
+        raise CheckpointError(f"{path}: missing tensor meta.length_hist")
+    if not (hist.dtype.kind == "f" and hist.shape == (config.max_len - 1,)
+            and np.isfinite(hist).all() and (hist >= 0).all() and hist[1:].any()):
         raise CheckpointError(f"{path}: tensor meta.length_hist is {hist.dtype} {hist.shape}, the config "
                               f"needs a finite, non-negative float ({config.max_len - 1},) histogram "
                               "with mass beyond length 0")

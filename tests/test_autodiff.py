@@ -40,9 +40,21 @@ def total(x):
     return Tensor(x.data.sum(), x.requires_grad, (x,), backward)
 
 
+def mul(a, b):
+    """a * b of two same-shape tensors; the model's `ad.mul` only scales by a constant array."""
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g * b.data, owned=True)
+        if b.requires_grad:
+            b.accumulate(g * a.data, owned=True)
+
+    return Tensor(a.data * b.data, a.requires_grad or b.requires_grad, (a, b), backward)
+
+
 def test_add_mul_broadcast():
-    fd_check(lambda a, b: total(ad.mul(ad.add(a, b), a)), (3, 4), (4,))
-    fd_check(lambda a: total(ad.add(a, 2.5)), (2, 3))
+    fd_check(lambda a, b: total(mul(ad.add(a, b), a)), (3, 4), (4,))
+    fd_check(lambda a: total(ad.add(a, Tensor(np.array(2.5)))), (2, 3))  # a constant operand gets no gradient
     fd_check(lambda a: total(ad.mul(a, -1.7)), (2, 3))
 
 
@@ -129,7 +141,9 @@ def test_attention_key_padding_bias():
 
 
 def test_attention_no_bias():
-    fd_check(lambda q, k, v: weighted_total(ad.attention(q, k, v, None, 1)), (1, 2, 3), (1, 3, 3), (1, 3, 3))
+    """An all-zero bias masks nothing."""
+    bias = np.zeros((1, 1, 1, 1))
+    fd_check(lambda q, k, v: weighted_total(ad.attention(q, k, v, bias, 1)), (1, 2, 3), (1, 3, 3), (1, 3, 3))
 
 
 def test_attention_probabilities_sum_to_one():
@@ -137,25 +151,48 @@ def test_attention_probabilities_sum_to_one():
     rng = np.random.default_rng(0)
     q, k = Tensor(rng.normal(size=(2, 3, 6)) * 10), Tensor(rng.normal(size=(2, 5, 6)) * 10)
     c = rng.normal(size=6)
-    out = ad.attention(q, k, Tensor(np.tile(c, (2, 5, 1))), None, 3).data
+    out = ad.attention(q, k, Tensor(np.tile(c, (2, 5, 1))), np.zeros((1, 1, 1, 1)), 3).data
     assert np.allclose(out, np.tile(c, (2, 3, 1)), atol=1e-12)
+
+
+def _diamond(x1_first):
+    """A scalar of x1 and x2 (3, 4): add hands one gradient to both, and x1 also gets x1 * x1's."""
+    c = np.random.default_rng(2).normal(size=(3, 4))
+
+    def build(x1, x2):
+        terms = [ad.mul(ad.add(x1, x2), c), mul(x1, x1)]
+        return total(ad.add(*(terms if x1_first else terms[::-1])))
+
+    return build
 
 
 @pytest.mark.parametrize("x1_first", [True, False])
 def test_shared_gradient_is_not_aliased(x1_first):
-    """A diamond: add hands one gradient to x1 and x2, and x1 also gets a second term.
-
-    If x1 and x2 shared that gradient array, the second term's += would leak
+    """If x1 and x2 shared add's gradient array, x1's second term's += would leak
     into x2's gradient. Both orders of the final sum, since the order in which
     backward reaches x1's two terms decides whether a shared array shows.
     """
-    c = np.random.default_rng(2).normal(size=(3, 4))
+    fd_check(_diamond(x1_first), (3, 4), (3, 4))
 
-    def build(x1, x2):
-        terms = [ad.mul(ad.add(x1, x2), c), ad.mul(x1, x1)]
-        return total(ad.add(*(terms if x1_first else terms[::-1])))
 
-    fd_check(build, (3, 4), (3, 4))
+def test_aliasing_check_fails_when_accumulate_adopts_every_gradient(monkeypatch):
+    """The diamond keeps its power: with an accumulate that ignores `owned`, x1 and
+    x2 share add's gradient array, and the gradient check fails in some order."""
+
+    def adopt_every_gradient(self, g, owned=False):
+        if self.grad is None:
+            self.grad = g if g.dtype == self.data.dtype else np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
+
+    monkeypatch.setattr(Tensor, "accumulate", adopt_every_gradient)
+    failed = []
+    for x1_first in (True, False):
+        try:
+            fd_check(_diamond(x1_first), (3, 4), (3, 4))
+        except AssertionError:
+            failed.append(x1_first)
+    assert failed
 
 
 def test_cross_entropy_gradient():
@@ -185,15 +222,15 @@ def test_backward_requires_scalar():
 def test_no_grad_suppresses_tape():
     t = Tensor(np.ones((2, 2)), requires_grad=True)
     with ad.no_grad():
-        out = ad.mul(t, t)
+        out = ad.add(t, t)
     assert not out.requires_grad
-    out2 = ad.mul(t, t)
+    out2 = ad.add(t, t)
     assert out2.requires_grad
 
 
 def test_gradient_accumulates_across_uses():
     t = Tensor(np.array([[2.0]]), requires_grad=True)
-    out = ad.add(ad.mul(t, t), t)  # f = t^2 + t, f' = 2t + 1 = 5
+    out = ad.add(mul(t, t), t)  # f = t^2 + t, f' = 2t + 1 = 5
     out.backward()
     assert abs(t.grad[0, 0] - 5.0) < 1e-12
 
@@ -203,7 +240,7 @@ def test_backward_frees_interior_nodes_and_leaves_keep_their_grads():
     parents and its closure (with the arrays it saved); the leaves keep theirs."""
     a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     b = Tensor(np.array([3.0, 5.0]), requires_grad=True)
-    h = ad.mul(a, b)
+    h = mul(a, b)
     out = total(h)
     closures = [weakref.ref(node._backward) for node in (h, out)]
     out.backward()
@@ -215,7 +252,7 @@ def test_backward_frees_interior_nodes_and_leaves_keep_their_grads():
 
 def test_second_backward_through_a_consumed_graph_raises():
     t = Tensor(np.array([[2.0]]), requires_grad=True)
-    h = ad.mul(t, t)
+    h = mul(t, t)
     out = ad.add(h, t)
     out.backward()
     with pytest.raises(RuntimeError, match="consumed"):

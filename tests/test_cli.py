@@ -174,6 +174,18 @@ def test_generate_and_eval_gen(trained):
     assert 0.0 <= report["intdiv1"] <= 1.0
 
 
+def test_eval_gen_counts_each_kind_of_line(tmp_path):
+    """A molecule, a line that is not SELFIES, a blank line, an unknown token, a
+    lone branch token (the empty molecule) and a novel molecule: two are valid."""
+    generated = _write(tmp_path, "gen.selfies", "[C][C][O]\nC(\n\n[Xx]\n[Branch1]\n[C][=C]\n")
+    training = _write(tmp_path, "train.smiles", "CCO\n")
+    rc = main(["eval-gen", "--generated", generated, "--training-canon", training,
+               "--out-dir", str(tmp_path / "ev")])
+    assert rc == 0
+    report = json.loads((tmp_path / "ev" / "generation_report.json").read_text())
+    assert report["counts"] == {"n": 6, "valid": 2, "distinct_valid": 2, "novel": 1}
+
+
 def test_embed_matrix(trained, tmp_path):
     root, out_dir, _ = trained
     src = tmp_path / "mols.smiles"
@@ -417,7 +429,19 @@ FAILURES = {
     "train-negative-beta2": (lambda run, root, tmp: _train_set(root, tmp, "beta2=-0.5"), 3,
                              "config key beta2: -0.5 is not in [0, 1)"),
     "train-zero-eps": (lambda run, root, tmp: _train_set(root, tmp, "eps=0"), 3,
-                       "config key eps: 0.0 is not > 0"),
+                       "config key eps: 0.0 is not finite and > 0"),
+    "train-infinite-eps": (lambda run, root, tmp: _train_set(root, tmp, "eps=inf"), 3,
+                           "config key eps: inf is not finite and > 0"),
+    "train-negative-seed": (lambda run, root, tmp: _train_set(root, tmp, "seed=-1"), 3,
+                            "config key seed: -1 is not >= 0"),
+    "make-corpus-negative-seed": (lambda run, root, tmp: _make_corpus(tmp, "5") + ["--seed", "-1"], 3,
+                                  "make-corpus --seed must be >= 0, got -1"),
+    "generate-negative-seed": (lambda run, root, tmp: _generate(
+        str(run / "checkpoint_final.bin"), str(tmp / "gen")) + ["--seed", "-1"], 3,
+        "generate --seed must be >= 0, got -1"),
+    "eval-prop-negative-seed": (lambda run, root, tmp: _eval_prop(
+        str(run / "checkpoint_final.bin"), root, tmp) + ["--seed", "-2"], 3,
+        "eval-prop --seed must be >= 0, got -2"),
     "train-mask-rate-above-one": (lambda run, root, tmp: _train_set(root, tmp, "mask_rate=2"), 3,
                                   "config key mask_rate: 2.0 is not in [0, 1]"),
     "train-negative-checkpoint-interval": (lambda run, root, tmp: _train_set(
@@ -431,6 +455,9 @@ FAILURES = {
                                "make-corpus --n must be >= 1, got -3"),
     "make-corpus-max-tokens-below-4": (lambda run, root, tmp: _make_corpus(tmp, "5") + ["--max-tokens", "3"],
                                        3, "make-corpus --max-tokens must be >= 4, got 3"),
+    "generate-without-length-hist": (lambda run, root, tmp: _generate(
+        _edited(run, tmp, "nohist", drop="meta.length_hist"), str(tmp / "gen")), 2,
+        "nohist.bin: missing tensor meta.length_hist"),
     "generate-length-hist-too-long": (lambda run, root, tmp: _generate(_edited(
         run, tmp, "hist40", put={"meta.length_hist": np.eye(40, dtype=np.float32)[39]}), str(tmp / "gen")), 2,
         "hist40.bin: tensor meta.length_hist is float32 (40,)"),
@@ -494,7 +521,8 @@ def test_failed_generate_leaves_no_out_dir(bad, trained, tmp_path, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("case", ["make-corpus-zero-n", "make-corpus-negative-n", "make-corpus-max-tokens-below-4"])
+@pytest.mark.parametrize("case", ["make-corpus-zero-n", "make-corpus-negative-n", "make-corpus-max-tokens-below-4",
+                                  "make-corpus-negative-seed"])
 def test_failed_make_corpus_writes_nothing(case, tmp_path):
     build, code, _ = FAILURES[case]
     assert main(build(None, None, tmp_path)) == code == 3

@@ -184,9 +184,10 @@ def test_generate_set_counts_truncated_empty_and_tokens():
     from moldae.tokenizer import EOS, decode_ids
 
     params, config, vocab = toy_generator()
-    got = generate_set(params, config, vocab, 40, seed=3, max_len=6)
+    hist = np.ones(config.max_len - 1)
+    got = generate_set(params, config, vocab, 40, seed=3, max_len=6, length_hist=hist)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(3).spawn(40)]
-    rows = sample_batch(params, config, rngs, max_len=6)
+    rows = sample_batch(params, config, rngs, [draw_source_length(hist, rng) for rng in rngs], max_len=6)
     assert got.truncated == sum(r[-1] != EOS for r in rows)
     assert 0 < got.truncated < 40
     assert all(len(r) == 6 for r in rows if r[-1] != EOS)
@@ -201,7 +202,7 @@ def test_generate_set_deterministic_and_batch_invariant(monkeypatch):
 
     def generate(seed, batch):
         monkeypatch.setattr(genmetrics, "GENERATE_BATCH", batch)
-        return generate_set(params, config, vocab, 7, seed=seed)
+        return generate_set(params, config, vocab, 7, seed=seed, length_hist=np.ones(config.max_len - 1))
 
     a, b, c = generate(5, 3), generate(5, 7), generate(5, 1)
     assert a.raw == b.raw == c.raw

@@ -41,8 +41,8 @@ def greedy(params, enc, mask, max_len=TOY.max_len):
     return prefix
 
 
-def sample_one(params, rng, source_length=None, **kwargs):
-    return sample_batch(params, TOY, [rng], source_lengths=[source_length], **kwargs)[0]
+def sample_one(params, rng, source_length=0, **kwargs):
+    return sample_batch(params, TOY, [rng], [source_length], **kwargs)[0]
 
 
 def test_init_deterministic():
@@ -345,8 +345,8 @@ def test_tiny_temperature_is_greedy_decoding(temperature):
     T overflows, so the maximum must come off before the division (inf - inf
     is nan)."""
     params = toy_params(9)
-    for source_length in (None, 3):
-        source = np.array([BOS] + [MASK] * (source_length or 0) + [EOS])
+    for source_length in (0, 3):
+        source = np.array([BOS] + [MASK] * source_length + [EOS])
         expected = greedy(params, encode(params, TOY, source), np.ones(len(source)))
         samples = sample_batch(params, TOY, [np.random.default_rng(s) for s in range(4)],
                                temperature=temperature, source_lengths=[source_length] * 4)
@@ -420,8 +420,8 @@ def test_sample_batch_rejects_max_len_below_2():
     params = toy_params(21)
     for max_len in (1, 0, -3):
         with pytest.raises(ValueError, match="max_len must be >= 2"):
-            sample_batch(params, TOY, [np.random.default_rng(0)], max_len=max_len)
-    (ids,) = sample_batch(params, TOY, [np.random.default_rng(0)], max_len=2)
+            sample_batch(params, TOY, [np.random.default_rng(0)], [0], max_len=max_len)
+    (ids,) = sample_batch(params, TOY, [np.random.default_rng(0)], [0], max_len=2)
     assert len(ids) == 2 and ids[0] == BOS
 
 
@@ -429,7 +429,7 @@ def test_sample_batch_equals_sequential():
     params = toy_params(13)
     seeds = np.random.SeedSequence(77).spawn(6)
     sequential = [sample_one(params, np.random.default_rng(s), temperature=1.0) for s in seeds]
-    batched = sample_batch(params, TOY, [np.random.default_rng(s) for s in seeds], temperature=1.0)
+    batched = sample_batch(params, TOY, [np.random.default_rng(s) for s in seeds], [0] * 6, temperature=1.0)
     assert len(batched) == 6
     for a, b in zip(sequential, batched):
         assert np.array_equal(a, b)
@@ -451,14 +451,14 @@ def test_sample_batch_equals_sequential_with_sources():
         sample_one(params, np.random.default_rng(0), source_length=TOY.max_len)
 
 
-@pytest.mark.parametrize("lengths", [[3, 3, 5, 3, None, 5, None], [None] * 5])
+@pytest.mark.parametrize("lengths", [[3, 3, 5, 3, 0, 5, 0], [0] * 5])
 def test_sample_batch_with_shared_sources_equals_sequential(lengths):
     params = toy_params(13, dtype=np.float32)
     for p in params.values():
         p.data *= 10  # weights at N(0, 0.2): every seed's sample depends on its source length
     seeds = np.random.SeedSequence(79).spawn(len(lengths))
     for s in seeds:
-        by_source = {tuple(sample_one(params, np.random.default_rng(s), source_length=k)) for k in (3, 5, None)}
+        by_source = {tuple(sample_one(params, np.random.default_rng(s), source_length=k)) for k in (3, 5, 0)}
         assert len(by_source) == 3
     sequential = [sample_one(params, np.random.default_rng(s), source_length=k)
                   for s, k in zip(seeds, lengths)]
@@ -473,7 +473,7 @@ def test_sample_batch_encodes_each_distinct_source_once(monkeypatch):
     encoder = model.encoder_forward
     monkeypatch.setattr(model, "encoder_forward",
                         lambda p, c, ids, mask: rows.append(len(ids)) or encoder(p, c, ids, mask))
-    lengths = [3, 3, 5, 3, None, 5, None]
+    lengths = [3, 3, 5, 3, 0, 5, 0]
     sample_batch(params, TOY, [np.random.default_rng(s) for s in range(7)], source_lengths=lengths)
-    sample_batch(params, TOY, [np.random.default_rng(s) for s in range(4)])
+    sample_batch(params, TOY, [np.random.default_rng(s) for s in range(4)], [0] * 4)
     assert rows == [3, 1]

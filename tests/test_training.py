@@ -1,5 +1,6 @@
 """Training loop: convergence, checkpoint resume determinism, guards."""
 
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -45,19 +46,8 @@ def test_loss_decreases(tiny_corpus_file, tiny_vocab):
     assert last < 0.5 * first
 
 
-def test_train_log_invariants():
-    log = TrainLog()
-    log.add(StepRecord(0, 1.0, 0.5, 0.1))
-    with pytest.raises(ValueError):
-        log.add(StepRecord(0, 0.9, 0.5, 0.2))
-    with pytest.raises(ValueError):
-        log.add(StepRecord(1, float("nan"), 0.5, 0.2))
-
-
 def test_train_log_csv(tmp_path):
-    log = TrainLog()
-    log.add(StepRecord(0, 1.25, 0.5, 0.1))
-    log.add(StepRecord(1, 1.0, 0.625, 0.2))
+    log = TrainLog([StepRecord(0, 1.25, 0.5, 0.1), StepRecord(1, 1.0, 0.625, 0.2)])
     path = tmp_path / "log.csv"
     log.write_csv(path)
     lines = path.read_text().splitlines()
@@ -119,6 +109,19 @@ def test_checkpoint_container_roundtrip(tmp_path):
     truncated.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(CheckpointError):
         load_checkpoint(truncated)
+
+
+def test_checkpoint_dims_whose_product_overflows_int64_are_truncated(tmp_path):
+    """Dims (2**31, 2**31, 4) multiply to 2**64, which wraps to 0 in int64: the
+    tensor needs more bytes than the file has, so the load fails as truncated."""
+    path = tmp_path / "huge.bin"
+    save_checkpoint(path, ModelConfig(vocab_size=10, **TINY), {"x": np.zeros((3, 5, 4), np.float32)})
+    data = path.read_bytes()
+    dims = struct.pack("<BB3I", 0, 3, 3, 5, 4)
+    assert data.count(dims) == 1
+    path.write_bytes(data.replace(dims, struct.pack("<BB3I", 0, 3, 2**31, 2**31, 4)))
+    with pytest.raises(CheckpointError, match="truncated checkpoint"):
+        load_checkpoint(path)
 
 
 def test_format_1_checkpoint_still_loads():
